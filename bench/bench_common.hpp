@@ -11,10 +11,10 @@
 
 #include "autohet/baselines.hpp"
 #include "autohet/search.hpp"
+#include "common/kernel_variant.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/session.hpp"
 #include "report/table.hpp"
-#include "reram/kernels/kernels.hpp"
 
 namespace autohet::bench {
 
@@ -27,10 +27,10 @@ namespace autohet::bench {
 /// conventions.
 inline int episodes_from_args(int argc, char** argv, int fallback) {
   static obs::ObsSession session(obs::options_from_argv(argc, argv));
-  // `--kernel <name>` anywhere on the line forces the kernel ISA variant
-  // (hard error on unknown/unsupported — a forced bench must not silently
-  // measure a different code path).
-  reram::kernels::apply_argv_override(argc, argv);
+  // `--kernel <name>` anywhere on the line forces the kernel ISA variant of
+  // both kernel tables, reram and rl (hard error on unknown/unsupported — a
+  // forced bench must not silently measure a different code path).
+  common::kernels::apply_argv_override(argc, argv);
   if (argc > 1) {
     const int v = std::atoi(argv[1]);
     if (v > 0) return v;

@@ -39,6 +39,7 @@
 #include "common/thread_pool.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/functional.hpp"
+#include "reram/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
 using namespace autohet;

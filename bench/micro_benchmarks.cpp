@@ -9,6 +9,7 @@
 #include "nn/model_zoo.hpp"
 #include "reram/crossbar.hpp"
 #include "reram/hardware_model.hpp"
+#include "reram/kernels/kernels.hpp"
 #include "rl/ddpg.hpp"
 
 using namespace autohet;

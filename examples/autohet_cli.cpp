@@ -36,13 +36,13 @@
 #include "autohet/search.hpp"
 #include "autohet/strategy.hpp"
 #include "common/cli.hpp"
+#include "common/kernel_variant.hpp"
 #include "common/rng.hpp"
 #include "nn/describe.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/session.hpp"
 #include "reram/functional.hpp"
-#include "reram/kernels/kernels.hpp"
 #include "reram/scheduler.hpp"
 #include "report/profile_report.hpp"
 #include "report/serialize.hpp"
@@ -632,15 +632,19 @@ int run_describe(const common::ArgParser& args) {
 int run_kernels(const common::ArgParser&) {
   // CI's dispatch smoke parses this table to learn which variants the host
   // can run, then re-invokes the kernel tests with each one forced.
-  const reram::kernels::Variant active = reram::kernels::active_variant();
+  namespace ck = common::kernels;
+  const ck::Variant active = ck::active_variant();
   report::Table table({"Variant", "Supported", "Active"});
-  for (int v = 0; v < reram::kernels::kVariantCount; ++v) {
-    const auto variant = static_cast<reram::kernels::Variant>(v);
-    table.add_row({reram::kernels::variant_name(variant),
-                   reram::kernels::supported(variant) ? "yes" : "no",
+  for (int v = 0; v < ck::kVariantCount; ++v) {
+    const auto variant = static_cast<ck::Variant>(v);
+    table.add_row({ck::variant_name(variant),
+                   ck::supported(variant) ? "yes" : "no",
                    variant == active ? "yes" : ""});
   }
   table.print(std::cout);
+  std::cout << "The active variant (" << ck::variant_name(active)
+            << ") drives both kernel tables: reram (packed crossbar MVMs) "
+               "and rl (DDPG update).\n";
   return 0;
 }
 
@@ -799,11 +803,11 @@ int main(int argc, char** argv) {
   try {
     obs::ObsSession session(args);
     if (const std::string kernel = args.option("kernel"); !kernel.empty()) {
-      reram::kernels::Variant v;
-      AUTOHET_CHECK(reram::kernels::variant_from_name(kernel, &v),
+      common::kernels::Variant v;
+      AUTOHET_CHECK(common::kernels::variant_from_name(kernel, &v),
                     "unknown kernel variant: " + kernel +
                         " (use portable|avx2|avx512)");
-      reram::kernels::set_variant(v);  // hard error when unsupported
+      common::kernels::set_variant(v);  // hard error when unsupported
     }
     const std::string command = args.positional("command");
     if (command == "search") return run_search(args);

@@ -180,6 +180,7 @@ SearchResult AutoHetSearch::run() {
     }
     result.history.push_back(std::move(record));
   }
+  result.learning_updates = agent_.updates_taken();
   return result;
 }
 

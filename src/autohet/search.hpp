@@ -55,6 +55,9 @@ struct SearchResult {
   double decision_seconds = 0.0;   ///< agent forward passes + bookkeeping
   double simulator_seconds = 0.0;  ///< hardware-model evaluations
   double learning_seconds = 0.0;   ///< experience replay updates
+  /// DDPG minibatch updates that ran (the first episodes' updates are
+  /// no-ops until the replay pool holds a batch).
+  long long learning_updates = 0;
 };
 
 class AutoHetSearch {

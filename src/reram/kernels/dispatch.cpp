@@ -1,157 +1,25 @@
-// Runtime kernel dispatch: CPUID-probed variant selection, the
-// AUTOHET_KERNEL environment override, and the --kernel argv override the
-// bench binaries use. The selected variant index is exported as the
-// `autohet_kernel_dispatch` gauge (0 = portable, 1 = avx2, 2 = avx512).
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <string>
-
+// Maps the process-wide kernel variant (common/kernel_variant.hpp) to this
+// library's ops table.
 #include "common/error.hpp"
-#include "obs/obs.hpp"
 #include "reram/kernels/kernels.hpp"
 
 namespace autohet::reram::kernels {
-namespace {
-
-const Ops* variant_table(Variant v) {
-  switch (v) {
-    case Variant::kPortable:
-      return &detail::kPortableOps;
-    case Variant::kAvx2:
-      return &detail::kAvx2Ops;
-    case Variant::kAvx512:
-      return &detail::kAvx512Ops;
-  }
-  return &detail::kPortableOps;
-}
-
-bool cpu_supports(Variant v) {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  switch (v) {
-    case Variant::kPortable:
-      return true;
-    case Variant::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-    case Variant::kAvx512:
-      return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512bw") != 0 &&
-             __builtin_cpu_supports("avx512vl") != 0 &&
-             __builtin_cpu_supports("avx512vpopcntdq") != 0;
-  }
-  return false;
-#else
-  return v == Variant::kPortable;
-#endif
-}
-
-std::atomic<int> g_active{-1};  // -1 = not yet resolved
-std::once_flag g_init_once;
-
-void activate(Variant v) {
-  g_active.store(static_cast<int>(v), std::memory_order_release);
-  OBS_GAUGE_SET("autohet_kernel_dispatch", static_cast<int>(v));
-}
-
-/// Resolves the initial variant: AUTOHET_KERNEL wins (hard error on unknown
-/// or unsupported names — a forced run must never silently fall back), else
-/// the best CPUID-supported variant.
-void resolve_initial() {
-  if (const char* env = std::getenv("AUTOHET_KERNEL");
-      env != nullptr && *env != '\0') {
-    Variant v = Variant::kPortable;
-    AUTOHET_CHECK(variant_from_name(env, &v),
-                  std::string("AUTOHET_KERNEL: unknown kernel variant '") +
-                      env + "' (want portable, avx2 or avx512)");
-    AUTOHET_CHECK(supported(v),
-                  std::string("AUTOHET_KERNEL: variant '") + env +
-                      "' is not supported on this host/build");
-    activate(v);
-    return;
-  }
-  Variant best = Variant::kPortable;
-  for (const Variant v : {Variant::kAvx2, Variant::kAvx512}) {
-    if (supported(v)) best = v;
-  }
-  activate(best);
-}
-
-}  // namespace
-
-bool supported(Variant v) {
-  return variant_table(v)->bit_serial_mvm != nullptr && cpu_supports(v);
-}
-
-std::vector<Variant> supported_variants() {
-  std::vector<Variant> out;
-  for (const Variant v :
-       {Variant::kPortable, Variant::kAvx2, Variant::kAvx512}) {
-    if (supported(v)) out.push_back(v);
-  }
-  return out;
-}
 
 const Ops& ops() {
-  std::call_once(g_init_once, resolve_initial);
-  return *variant_table(
-      static_cast<Variant>(g_active.load(std::memory_order_acquire)));
-}
-
-Variant active_variant() {
-  std::call_once(g_init_once, resolve_initial);
-  return static_cast<Variant>(g_active.load(std::memory_order_acquire));
-}
-
-void set_variant(Variant v) {
-  std::call_once(g_init_once, resolve_initial);
-  AUTOHET_CHECK(supported(v), std::string("kernel variant '") +
-                                  variant_name(v) +
-                                  "' is not supported on this host/build");
-  activate(v);
-}
-
-const char* variant_name(Variant v) {
-  switch (v) {
+  const Ops* table = &detail::kPortableOps;
+  switch (active_variant()) {
     case Variant::kPortable:
-      return "portable";
+      break;
     case Variant::kAvx2:
-      return "avx2";
+      table = &detail::kAvx2Ops;
+      break;
     case Variant::kAvx512:
-      return "avx512";
+      table = &detail::kAvx512Ops;
+      break;
   }
-  return "portable";
-}
-
-bool variant_from_name(std::string_view name, Variant* out) {
-  for (const Variant v :
-       {Variant::kPortable, Variant::kAvx2, Variant::kAvx512}) {
-    if (name == variant_name(v)) {
-      *out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-void apply_argv_override(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    std::string_view value;
-    if (std::strcmp(arg, "--kernel") == 0 && i + 1 < argc) {
-      value = argv[i + 1];
-    } else if (std::strncmp(arg, "--kernel=", 9) == 0) {
-      value = arg + 9;
-    } else {
-      continue;
-    }
-    Variant v = Variant::kPortable;
-    AUTOHET_CHECK(variant_from_name(value, &v),
-                  "--kernel: unknown kernel variant '" + std::string(value) +
-                      "' (want portable, avx2 or avx512)");
-    set_variant(v);
-    return;
-  }
+  AUTOHET_CHECK(table->bit_serial_mvm != nullptr,
+                "reram kernel table missing for the active variant");
+  return *table;
 }
 
 }  // namespace autohet::reram::kernels

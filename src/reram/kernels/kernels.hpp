@@ -19,11 +19,10 @@
 // Monte-Carlo report gates hold for every variant (tested per variant in
 // tests/test_kernels.cpp).
 //
-// Selection: the best supported variant wins at first use. The environment
-// variable AUTOHET_KERNEL (or the drivers' --kernel flag) forces a specific
-// variant by name; naming an unknown or unsupported variant is a hard error
-// (a forced run must never silently fall back). The active variant is
-// exported as the `autohet_kernel_dispatch` gauge.
+// Selection: the table follows the process-wide variant of
+// common/kernel_variant.hpp (CPUID probe, AUTOHET_KERNEL / --kernel override,
+// hard error on unknown or unsupported names), the same choice that drives
+// rl::kernels. The selection API is re-exported here under its old names.
 //
 // Data layouts (all strides in uint64 words unless noted):
 //   * weight planes: planes[(wb * plane_cols + j) * col_words + w] — bit
@@ -40,14 +39,21 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
+
+#include "common/kernel_variant.hpp"
 
 namespace autohet::reram::kernels {
 
-enum class Variant : int { kPortable = 0, kAvx2 = 1, kAvx512 = 2 };
-
-inline constexpr int kVariantCount = 3;
+using common::kernels::active_variant;
+using common::kernels::apply_argv_override;
+using common::kernels::kVariantCount;
+using common::kernels::set_variant;
+using common::kernels::supported;
+using common::kernels::supported_variants;
+using common::kernels::Variant;
+using common::kernels::variant_from_name;
+using common::kernels::variant_name;
 
 /// The per-variant kernel table. Every op accumulates into acc_t in the
 /// transposed [col][sample] layout documented above and is integer-exact:
@@ -87,33 +93,8 @@ struct Ops {
                                  std::int64_t words) = nullptr;
 };
 
-/// The active kernel table. First call resolves the AUTOHET_KERNEL override
-/// (hard error on an unknown or unsupported name) or picks the best
-/// CPUID-supported variant.
+/// The active variant's table (common::kernels::active_variant()).
 const Ops& ops();
-
-/// The variant ops() currently dispatches to.
-Variant active_variant();
-
-/// True when `v` is compiled in *and* the host CPU supports it.
-bool supported(Variant v);
-
-/// Every supported variant, portable first.
-std::vector<Variant> supported_variants();
-
-/// Forces the active variant. Hard error (AUTOHET_CHECK) when unsupported —
-/// a forced variant must never silently fall back.
-void set_variant(Variant v);
-
-const char* variant_name(Variant v);
-
-/// Parses "portable" / "avx2" / "avx512" into *out; false on unknown names.
-bool variant_from_name(std::string_view name, Variant* out);
-
-/// Applies a `--kernel <name>` / `--kernel=<name>` override found anywhere
-/// on a raw argv (the bench binaries' positional conventions predate flag
-/// parsing). Hard error on unknown/unsupported names; no-op when absent.
-void apply_argv_override(int argc, const char* const* argv);
 
 /// Caller-owned scratch for the packed/batched kernel paths: one object
 /// holds every buffer the bit-serial, multilevel and batched datapaths

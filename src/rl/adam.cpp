@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "rl/kernels/kernels.hpp"
 
 namespace autohet::rl {
 
@@ -23,16 +24,15 @@ void Adam::step(std::span<double> params, std::span<const double> grads) {
   AUTOHET_CHECK(params.size() == m_.size() && grads.size() == m_.size(),
                 "Adam size mismatch");
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    const double g = grads[i];
-    m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * g;
-    v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * g * g;
-    const double m_hat = m_[i] / bc1;
-    const double v_hat = v_[i] / bc2;
-    params[i] -= lr_ * m_hat / (std::sqrt(v_hat) + epsilon_);
-  }
+  kernels::AdamCoeffs c;
+  c.lr = lr_;
+  c.beta1 = beta1_;
+  c.beta2 = beta2_;
+  c.bias_correction1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  c.bias_correction2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  c.epsilon = epsilon_;
+  kernels::ops().adam_step(c, params.data(), grads.data(), m_.data(),
+                           v_.data(), m_.size());
 }
 
 }  // namespace autohet::rl

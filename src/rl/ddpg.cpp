@@ -105,25 +105,25 @@ std::size_t DdpgAgent::replay_size() const noexcept {
 double DdpgAgent::update() {
   if (replay_size() < config_.batch_size) return 0.0;
 
-  // Assemble the minibatch: uniform pool, or prioritized pool with
-  // importance-sampling weights and fresh-TD-error priority updates.
-  std::vector<const Transition*> batch;
-  std::vector<double> weights;
-  std::vector<std::size_t> indices;
+  // Assemble the minibatch into agent scratch: uniform pool, or
+  // prioritized pool with importance-sampling weights and fresh-TD-error
+  // priority updates.
+  const std::size_t B = config_.batch_size;
+  batch_.resize(B);
+  weights_.resize(B);
   if (config_.prioritized_replay) {
     const auto samples =
-        prioritized_replay_.sample(rng_, config_.batch_size,
-                                   config_.per_beta);
-    for (const auto& s : samples) {
-      batch.push_back(s.transition);
-      weights.push_back(s.weight);
-      indices.push_back(s.index);
+        prioritized_replay_.sample(rng_, B, config_.per_beta);
+    indices_.resize(B);
+    for (std::size_t b = 0; b < B; ++b) {
+      batch_[b] = samples[b].transition;
+      weights_[b] = samples[b].weight;
+      indices_[b] = samples[b].index;
     }
   } else {
-    batch = replay_.sample(rng_, config_.batch_size);
-    weights.assign(batch.size(), 1.0);
+    replay_.sample(rng_, batch_);
+    std::fill(weights_.begin(), weights_.end(), 1.0);
   }
-  const std::size_t B = batch.size();
   const double inv_batch = 1.0 / static_cast<double>(B);
   const auto S = static_cast<std::size_t>(config_.state_dim);
   const std::size_t SA = S + 1;
@@ -135,7 +135,7 @@ double DdpgAgent::update() {
   states_.resize(B * S);
   sa_.resize(B * SA);
   for (std::size_t b = 0; b < B; ++b) {
-    const Transition* t = batch[b];
+    const Transition* t = batch_[b];
     std::copy(t->next_state.begin(), t->next_state.end(),
               next_states_.begin() + static_cast<std::ptrdiff_t>(b * S));
     std::copy(t->state.begin(), t->state.end(),
@@ -166,15 +166,15 @@ double DdpgAgent::update() {
   double critic_loss = 0.0;
   delta_.resize(B);
   for (std::size_t b = 0; b < B; ++b) {
-    const Transition* t = batch[b];
+    const Transition* t = batch_[b];
     double target = t->reward;
     if (!t->terminal) target += config_.gamma * q_next[b];
     const double err = q[b] - target;
     if (config_.prioritized_replay) {
-      prioritized_replay_.update_priority(indices[b], std::fabs(err));
+      prioritized_replay_.update_priority(indices_[b], std::fabs(err));
     }
-    critic_loss += weights[b] * err * err * inv_batch;
-    delta_[b] = 2.0 * weights[b] * err * inv_batch;
+    critic_loss += weights_[b] * err * err * inv_batch;
+    delta_[b] = 2.0 * weights_[b] * err * inv_batch;
   }
   critic_.backward_batch(critic_cache_, delta_, nullptr);
   critic_opt_.step(critic_.params(), critic_.grads());

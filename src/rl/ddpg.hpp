@@ -69,10 +69,17 @@ class DdpgAgent {
   /// Returns the critic's minibatch MSE loss (0.0 when skipped).
   double update();
 
+  /// Minibatch updates that ran (update() calls that were not no-ops).
+  long long updates_taken() const noexcept {
+    return critic_opt_.steps_taken();
+  }
+
   /// Critic Q-value for diagnostics/tests.
   double q_value(std::span<const double> state, double action) const;
 
   const DdpgConfig& config() const noexcept { return config_; }
+  const Mlp& actor() const noexcept { return actor_; }
+  const Mlp& critic() const noexcept { return critic_; }
 
  private:
   static std::vector<int> layer_sizes(int in, const std::vector<int>& hidden,
@@ -93,6 +100,9 @@ class DdpgAgent {
 
   // update() scratch — sized on first use, reused every minibatch so the
   // hot path allocates nothing in steady state.
+  std::vector<const Transition*> batch_;
+  std::vector<double> weights_;
+  std::vector<std::size_t> indices_;
   Mlp::BatchCache actor_target_cache_;
   Mlp::BatchCache critic_target_cache_;
   Mlp::BatchCache critic_cache_;

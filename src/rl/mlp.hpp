@@ -58,10 +58,11 @@ class Mlp {
   // element the same as the per-sample path — each output neuron's dot
   // product accumulates over inputs in the same order, and parameter
   // gradients accumulate over the batch in sample order — but the loops
-  // are shaped as contiguous saxpy/broadcast sweeps (weights transposed
-  // into scratch) so the compiler can vectorize them without reassociating
-  // any floating-point reduction. All scratch lives in the caller's
-  // BatchCache; steady-state calls allocate nothing.
+  // run through the dispatched rl::kernels table (register-tiled gemm over
+  // weights transposed into scratch, vectorized activation sweeps), which
+  // never reassociates a floating-point reduction, so every kernel variant
+  // gives the same bits. All scratch lives in the caller's BatchCache;
+  // steady-state calls allocate nothing.
 
   struct BatchCache {
     std::size_t batch = 0;

@@ -14,14 +14,18 @@ void ReplayBuffer::add(Transition t) {
   if (size_ < storage_.size()) ++size_;
 }
 
+void ReplayBuffer::sample(common::Rng& rng,
+                          std::span<const Transition*> out) const {
+  AUTOHET_CHECK(size_ > 0, "cannot sample from an empty replay buffer");
+  for (const Transition*& slot : out) {
+    slot = &storage_[rng.uniform_u64(size_)];
+  }
+}
+
 std::vector<const Transition*> ReplayBuffer::sample(common::Rng& rng,
                                                     std::size_t batch) const {
-  AUTOHET_CHECK(size_ > 0, "cannot sample from an empty replay buffer");
-  std::vector<const Transition*> out;
-  out.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    out.push_back(&storage_[rng.uniform_u64(size_)]);
-  }
+  std::vector<const Transition*> out(batch);
+  sample(rng, out);
   return out;
 }
 

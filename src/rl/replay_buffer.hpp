@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,8 +26,12 @@ class ReplayBuffer {
   std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return storage_.size(); }
 
-  /// Uniform sample with replacement of `batch` transitions. Pointers stay
-  /// valid until the next add().
+  /// Uniform sample with replacement, one transition per slot of `out`
+  /// (slots filled in order, one RNG draw each). Pointers stay valid until
+  /// the next add(). Allocates nothing.
+  void sample(common::Rng& rng, std::span<const Transition*> out) const;
+
+  /// Convenience form: a fresh vector of `batch` samples.
   std::vector<const Transition*> sample(common::Rng& rng,
                                         std::size_t batch) const;
 

@@ -1,9 +1,26 @@
 // DDPG agent: learning on small synthetic problems.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "rl/ddpg.hpp"
+
+// Counts every scalar operator new in this test binary, so a test can assert
+// that a code path allocates nothing.
+namespace {
+std::atomic<long long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace autohet {
 namespace {
@@ -47,6 +64,23 @@ TEST(Ddpg, UpdateIsNoopUntilBatchAvailable) {
   agent.remember(t);
   EXPECT_EQ(agent.replay_size(), 1u);
   EXPECT_EQ(agent.update(), 0.0);  // still below batch size
+}
+
+TEST(Ddpg, UpdateAllocatesNothingInSteadyState) {
+  // The uniform pool (the search's) samples into agent scratch.
+  rl::DdpgAgent agent(small_config(), common::Rng(5));
+  for (int i = 0; i < 100; ++i) {
+    rl::Transition t;
+    t.state = {0.01 * i, 0.5};
+    t.next_state = {0.5, 0.01 * i};
+    t.action = 0.3;
+    t.reward = 0.1 * (i % 7);
+    agent.remember(std::move(t));
+  }
+  agent.update();  // sizes the scratch buffers
+  const long long before = g_allocations.load();
+  for (int i = 0; i < 20; ++i) agent.update();
+  EXPECT_EQ(g_allocations.load() - before, 0);
 }
 
 TEST(Ddpg, LearnsContextualBandit) {

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "kernel_variant_test.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
 #include "reram/crossbar.hpp"
@@ -161,23 +162,7 @@ TEST(PackedKernels, BatchedReferenceMatchesPerColumn) {
 
 namespace rk = reram::kernels;
 
-class KernelVariantTest : public ::testing::TestWithParam<rk::Variant> {
- protected:
-  void SetUp() override {
-    if (!rk::supported(GetParam())) {
-      GTEST_SKIP() << "variant " << rk::variant_name(GetParam())
-                   << " not compiled in or not supported by this CPU";
-    }
-    previous_ = rk::active_variant();
-    rk::set_variant(GetParam());
-  }
-  void TearDown() override {
-    if (!IsSkipped()) rk::set_variant(previous_);
-  }
-
- private:
-  rk::Variant previous_ = rk::Variant::kPortable;
-};
+class KernelVariantTest : public testutil::KernelVariantFixture {};
 
 TEST_P(KernelVariantTest, RandomRaggedShapesMatchScalar) {
   common::Rng rng(0xbeef ^ static_cast<std::uint64_t>(GetParam()));
@@ -272,14 +257,7 @@ TEST_P(KernelVariantTest, ForwardMatchesScalarReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVariants, KernelVariantTest,
-                         ::testing::Values(rk::Variant::kPortable,
-                                           rk::Variant::kAvx2,
-                                           rk::Variant::kAvx512),
-                         [](const auto& param_info) {
-                           return std::string(
-                               rk::variant_name(param_info.param));
-                         });
+AUTOHET_INSTANTIATE_ALL_VARIANTS(KernelVariantTest);
 
 TEST(KernelDispatch, SupportedVariantsListsPortableFirst) {
   const auto variants = rk::supported_variants();
