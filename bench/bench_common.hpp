@@ -4,9 +4,12 @@
 // (see EXPERIMENTS.md).
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autohet/baselines.hpp"
@@ -79,6 +82,39 @@ inline std::vector<std::string> metric_row(const std::string& name,
   return {name, report::format_fixed(r.utilization * 100.0, 1),
           report::format_fixed(r.energy.total_nj() / energy_norm, 2),
           report::format_sci(r.rue(), 3)};
+}
+
+/// Provenance stamp for a BENCH_*.json, as one JSON object: the revision
+/// and build the numbers came from (captured when CMake configured the
+/// tree), the active kernel variant, the worker threads the bench used,
+/// and the host — so committed results say what produced them.
+inline std::string stamp_json(int threads) {
+  const auto quoted = [](const std::string& s) {
+    std::string out = "\"";
+    for (const char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      if (static_cast<unsigned char>(c) >= 0x20) out += c;
+    }
+    return out + "\"";
+  };
+  char host[256] = {};
+  gethostname(host, sizeof host - 1);
+#if defined(AUTOHET_OBS_DISABLED)
+  constexpr bool kObs = false;
+#else
+  constexpr bool kObs = true;
+#endif
+  return "{\"revision\": " + quoted(AUTOHET_BENCH_REVISION) +
+         ", \"build_type\": " + quoted(AUTOHET_BENCH_BUILD_TYPE) +
+         ", \"compiler\": " + quoted(AUTOHET_BENCH_COMPILER) +
+         ", \"autohet_obs\": " + (kObs ? "true" : "false") +
+         ", \"kernel_variant\": " +
+         quoted(common::kernels::variant_name(
+             common::kernels::active_variant())) +
+         ", \"threads\": " + std::to_string(threads) +
+         ", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"host\": " + quoted(host) + "}";
 }
 
 inline void print_header(const std::string& title) {

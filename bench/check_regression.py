@@ -20,6 +20,9 @@ modes:
          the gate catches order-of-magnitude algorithmic regressions, not CI
          machine jitter.
   max    latency-style values: current must be <= baseline * (1 + slack).
+  floor  an absolute lower bound: current must be >= the manifest value
+         itself (the tolerance column, unscaled by --tolerance); no
+         baseline is read.
 
 Machine-dependent discovery fields (dispatch.supported, dispatch.variants,
 absolute wall-clock seconds) are deliberately absent from the manifest.
@@ -38,7 +41,8 @@ import re
 import sys
 
 # mode: "exact" (eps), "min"/"max" (relative slack, scaled by --timing-slack
-# when host_dependent), "bool" (must equal baseline exactly).
+# when host_dependent), "bool" (must equal baseline exactly), "floor"
+# (current >= the tolerance value, no baseline).
 # path syntax: dot-separated keys; [i] indexes a list; [key=value] selects
 # the first list element whose `key` field equals `value`.
 MANIFEST = [
@@ -64,6 +68,9 @@ MANIFEST = [
      "kernels.[name=multilevel].speedup", "min", 0.50, True),
     ("BENCH_functional_throughput.json",
      "forward.[datapath=integer].speedup", "min", 0.50, True),
+    # Same-host ratio: no SIMD variant's int8 GEMM may lose to portable.
+    ("BENCH_functional_throughput.json",
+     "dispatch.gemm_simd_vs_portable_min", "floor", 1.0, False),
     ("BENCH_functional_throughput.json",
      "row_block_split.identical", "bool", 0.0, False),
     ("BENCH_functional_throughput.json",
@@ -222,6 +229,17 @@ def main():
             entry["status"] = "regression"
             entry["detail"] = f"metric missing from current output: {exc}"
             regressions += 1
+            results.append(entry)
+            continue
+        if mode == "floor":
+            # An absolute bound, not a slack: --tolerance does not scale it.
+            entry["tolerance"] = tol
+            ok = float(current) >= tol
+            entry["current"] = current
+            entry["detail"] = f"{current} >= {tol} (absolute floor)"
+            entry["status"] = "ok" if ok else "regression"
+            if not ok:
+                regressions += 1
             results.append(entry)
             continue
         try:

@@ -6,12 +6,16 @@
 // Levels timed, each against its retained scalar baseline (the pre-packing
 // datapaths, kept precisely so this comparison stays honest):
 //   * raw crossbar kernels (bit-serial / multilevel / reference MVMs/s),
-//     with the bit-serial kernel additionally timed under every supported
+//     with the bit-serial and multilevel kernels and the integer
+//     datapath's int8 GEMM additionally timed under every supported
 //     dispatch variant (portable/avx2/avx512) — the `dispatch` JSON section
-//     records the selected path and each variant's rate;
-//   * whole-network forwards (images/s, integer and bit-serial datapaths),
-//     plus the same forward split across row blocks / position tiles on a
-//     worker pool (bit-identical outputs, asserted);
+//     records the selected path and each variant's rates (GEMM in MVMs/s,
+//     one MVM = one input column, and GMAC/s);
+//   * whole-network forwards (images/s, integer and bit-serial datapaths
+//     on LeNet-5, and the integer datapath on the CIFAR residual DAG
+//     through forward_graph), plus the same forward split across row
+//     blocks / position tiles on a worker pool (bit-identical outputs,
+//     asserted);
 //   * the full fault_sweep Monte-Carlo workload — fault_sweep's three
 //     configurations over its 15-point grid (3 cell-bits × 5 stuck rates,
 //     σ=0.01, 5 trials × 12 samples), measured end-to-end through
@@ -22,9 +26,10 @@
 //     single-hardware-thread host the parallel path runs the identical
 //     serial code, so the serial timing is reused and flagged).
 //
-// Emits BENCH_functional_throughput.json with every rate and ratio; the
-// headline `mc_speedup` field (aggregate scalar wall / aggregate fast wall
-// over the whole workload) gates the acceptance criterion.
+// Emits BENCH_functional_throughput.json with a provenance stamp and every
+// rate and ratio; the headline `mc_speedup` field (aggregate scalar wall /
+// aggregate fast wall over the whole workload) gates the acceptance
+// criterion.
 //
 // Usage: functional_throughput [mc_reps] [episodes]
 //   mc_reps  — repetitions of each Monte-Carlo timing (best-of; default 1)
@@ -39,6 +44,7 @@
 #include "common/thread_pool.hpp"
 #include "reram/eval_engine.hpp"
 #include "reram/functional.hpp"
+#include "nn/graph.hpp"
 #include "reram/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
@@ -152,13 +158,63 @@ int main(int argc, char** argv) {
     return calls_per_second([&] { sink = sink + fn().back(); });
   };
 
-  // Dispatch sweep: the bit-serial packed MVM under every supported
-  // variant. The packed result is checked against the scalar oracle per
-  // variant — a variant that vectorizes wrongly must fail here, not in CI.
+  // The integer datapath's int8 GEMM on the same cells: a 128-column
+  // input tile (one conv position tile's worth) packed into quads, as
+  // MappedLayer::mvm_batch_into feeds it.
+  constexpr std::int64_t kGemmCount = 128;
+  const std::int64_t gemm_quads = (kshape.rows + 3) / 4;
+  std::vector<std::int32_t> gemm_w(
+      static_cast<std::size_t>(gemm_quads * kshape.cols), 0);
+  std::vector<std::uint8_t> gemm_x(
+      static_cast<std::size_t>(gemm_quads * kGemmCount * 4), 0);
+  std::vector<std::vector<std::uint8_t>> gemm_columns(
+      kGemmCount, std::vector<std::uint8_t>(
+                      static_cast<std::size_t>(kshape.rows)));
+  for (std::int64_t r = 0; r < kshape.rows; ++r) {
+    for (std::int64_t j = 0; j < kshape.cols; ++j) {
+      auto& quad = gemm_w[static_cast<std::size_t>((r / 4) * kshape.cols + j)];
+      quad = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(quad) |
+          static_cast<std::uint32_t>(static_cast<std::uint8_t>(
+              weights[static_cast<std::size_t>(r * kshape.cols + j)]))
+              << (8 * (r % 4)));
+    }
+    for (std::int64_t p = 0; p < kGemmCount; ++p) {
+      const auto x = static_cast<std::uint8_t>(cell_rng.uniform_int(0, 255));
+      gemm_columns[static_cast<std::size_t>(p)][static_cast<std::size_t>(r)] =
+          x;
+      gemm_x[static_cast<std::size_t>(((r / 4) * kGemmCount + p) * 4 +
+                                      r % 4)] = x;
+    }
+  }
+  std::vector<std::int32_t> gemm_acc(
+      static_cast<std::size_t>(kshape.cols * kGemmCount));
+  const auto run_gemm = [&] {
+    std::fill(gemm_acc.begin(), gemm_acc.end(), 0);
+    rk::ops().int8_gemm(gemm_w.data(), gemm_quads, kshape.cols, gemm_x.data(),
+                        kGemmCount, gemm_acc.data());
+    sink = sink + gemm_acc.back();
+  };
+  std::vector<std::int32_t> gemm_oracle(gemm_acc.size());
+  for (std::int64_t p = 0; p < kGemmCount; ++p) {
+    const auto col =
+        xb.mvm_reference_scalar(gemm_columns[static_cast<std::size_t>(p)]);
+    for (std::int64_t j = 0; j < kshape.cols; ++j) {
+      gemm_oracle[static_cast<std::size_t>(j * kGemmCount + p)] =
+          col[static_cast<std::size_t>(j)];
+    }
+  }
+
+  // Dispatch sweep: the bit-serial and multilevel packed MVMs and the int8
+  // GEMM under every supported variant. Each result is checked against the
+  // scalar oracle per variant — a variant that vectorizes wrongly must fail
+  // here, not in CI.
   struct VariantRate {
     std::string name;
     double bit_serial_per_s = 0.0;
     double multilevel_per_s = 0.0;
+    double gemm_mvms_per_s = 0.0;
+    double gemm_gmacs = 0.0;
   };
   std::vector<VariantRate> variant_rates;
   const std::vector<std::int32_t> bit_serial_oracle =
@@ -173,21 +229,40 @@ int main(int argc, char** argv) {
     AUTOHET_CHECK(xb.mvm_multilevel(input, 2) == multilevel_oracle,
                   std::string("multilevel mismatch under variant ") +
                       rk::variant_name(v));
+    run_gemm();
+    AUTOHET_CHECK(gemm_acc == gemm_oracle,
+                  std::string("int8 GEMM mismatch under variant ") +
+                      rk::variant_name(v));
     VariantRate rate;
     rate.name = rk::variant_name(v);
     rate.bit_serial_per_s =
         time_kernel([&] { return xb.mvm_bit_serial(input); });
     rate.multilevel_per_s =
         time_kernel([&] { return xb.mvm_multilevel(input, 2); });
+    rate.gemm_mvms_per_s = kGemmCount * calls_per_second(run_gemm);
+    rate.gemm_gmacs = rate.gemm_mvms_per_s *
+                      static_cast<double>(kshape.rows * kshape.cols) / 1e9;
     variant_rates.push_back(rate);
   }
   rk::set_variant(selected);
   double best_vs_portable = 1.0;
+  // The slowest SIMD variant's GEMM against portable (1 when only portable
+  // runs here): check_regression.py gates it at >= 1.
+  double gemm_simd_vs_portable_min = 0.0;
   for (const auto& r : variant_rates) {
     best_vs_portable = std::max(
         best_vs_portable,
         r.bit_serial_per_s / variant_rates.front().bit_serial_per_s);
+    if (&r != &variant_rates.front()) {
+      const double ratio =
+          r.gemm_mvms_per_s / variant_rates.front().gemm_mvms_per_s;
+      gemm_simd_vs_portable_min = gemm_simd_vs_portable_min == 0.0
+                                      ? ratio
+                                      : std::min(gemm_simd_vs_portable_min,
+                                                 ratio);
+    }
   }
+  if (gemm_simd_vs_portable_min == 0.0) gemm_simd_vs_portable_min = 1.0;
 
   struct KernelRow {
     std::string name;
@@ -247,6 +322,36 @@ int main(int argc, char** argv) {
          calls_per_second([&] { fsink = fsink + fast_bits.forward(image)[0]; }),
          calls_per_second(
              [&] { fsink = fsink + scalar_bits.forward(image)[0]; }, 400.0)});
+
+    // The CIFAR residual DAG through forward_graph: the serving path's
+    // conv-heavy forward (stem, identity and strided projection blocks).
+    const nn::Graph resnet = nn::cifar_resnet_graph();
+    common::Rng resnet_rng(21);
+    const nn::Model resnet_model(resnet.skeleton(), resnet_rng);
+    const std::vector<mapping::CrossbarShape> resnet_shapes(
+        resnet.mappable_layers().size(), {72, 64});
+    const nn::TensorShape& rin = resnet.nodes().front().shape;
+    const tensor::Tensor resnet_image = nn::synthetic_image(
+        img_rng, rin.channels, rin.height, rin.width);
+    const reram::SimulatedModel fast_resnet(resnet_model, resnet_shapes,
+                                            reram::DatapathMode::kInteger);
+    const reram::SimulatedModel scalar_resnet(
+        resnet_model, resnet_shapes, reram::DatapathMode::kInteger, {},
+        reram::KernelPolicy::kScalarReference);
+    AUTOHET_CHECK(
+        tensor::max_abs_diff(fast_resnet.forward_graph(resnet, resnet_image),
+                             scalar_resnet.forward_graph(resnet,
+                                                         resnet_image)) ==
+            0.0f,
+        "fast residual-DAG forward diverged from the scalar reference");
+    forwards.push_back(
+        {"integer_cifar_resnet", calls_per_second([&] {
+           fsink = fsink + fast_resnet.forward_graph(resnet, resnet_image)[0];
+         }),
+         calls_per_second([&] {
+           fsink =
+               fsink + scalar_resnet.forward_graph(resnet, resnet_image)[0];
+         })});
 
     // Intra-forward row-block / position-tile split: one sample spread over
     // the whole pool. Integer partials reassociate exactly, so the pooled
@@ -413,11 +518,14 @@ int main(int argc, char** argv) {
 
   // --- Report ------------------------------------------------------------
   report::Table dispatch_table({"Variant", "Bit-serial MVM/s",
-                                "Multilevel MVM/s", "Selected"});
+                                "Multilevel MVM/s", "GEMM MVM/s",
+                                "GEMM GMAC/s", "Selected"});
   for (const auto& r : variant_rates) {
     dispatch_table.add_row({r.name,
                             report::format_fixed(r.bit_serial_per_s, 0),
                             report::format_fixed(r.multilevel_per_s, 0),
+                            report::format_fixed(r.gemm_mvms_per_s, 0),
+                            report::format_fixed(r.gemm_gmacs, 1),
                             r.name == rk::variant_name(selected) ? "yes"
                                                                  : ""});
   }
@@ -459,6 +567,7 @@ int main(int argc, char** argv) {
 
   std::ofstream json("BENCH_functional_throughput.json");
   json << "{\n  \"benchmark\": \"functional_throughput\",\n"
+       << "  \"stamp\": " << bench::stamp_json(hw_threads) << ",\n"
        << "  \"model\": \"lenet5\",\n"
        << "  \"hardware_threads\": " << hw_threads << ",\n"
        << "  \"mc_reps\": " << mc_reps << ",\n  \"dispatch\": {\n"
@@ -475,13 +584,17 @@ int main(int argc, char** argv) {
     json << (first_row ? "\n" : ",\n") << "      {\"name\": \"" << r.name
          << "\", \"bit_serial_mvms_per_s\": " << r.bit_serial_per_s
          << ", \"multilevel_mvms_per_s\": " << r.multilevel_per_s
-         << ", \"vs_portable\": "
+         << ", \"gemm_mvms_per_s\": " << r.gemm_mvms_per_s
+         << ", \"gemm_gmacs\": " << r.gemm_gmacs << ", \"vs_portable\": "
          << r.bit_serial_per_s / variant_rates.front().bit_serial_per_s
-         << "}";
+         << ", \"gemm_vs_portable\": "
+         << r.gemm_mvms_per_s / variant_rates.front().gemm_mvms_per_s << "}";
     first_row = false;
   }
   json << "\n    ],\n    \"best_vs_portable\": " << best_vs_portable
-       << "\n  },\n  \"kernels\": [";
+       << ",\n    \"gemm_shape\": \"288x256\",\n    \"gemm_count\": "
+       << kGemmCount << ",\n    \"gemm_simd_vs_portable_min\": "
+       << gemm_simd_vs_portable_min << "\n  },\n  \"kernels\": [";
   first_row = true;
   for (const auto& k : kernels) {
     json << (first_row ? "\n" : ",\n") << "    {\"name\": \"" << k.name

@@ -352,6 +352,8 @@ int main(int argc, char** argv) {
   std::ofstream json("BENCH_search_time.json");
   json << "{\n"
        << "  \"benchmark\": \"search_time\",\n"
+       << "  \"stamp\": "
+       << bench::stamp_json(static_cast<int>(pool.size())) << ",\n"
        << "  \"model\": \"vgg16\",\n"
        << "  \"episodes\": " << episodes << ",\n"
        << "  \"after\": {\n"

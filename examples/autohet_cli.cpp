@@ -643,8 +643,8 @@ int run_kernels(const common::ArgParser&) {
   }
   table.print(std::cout);
   std::cout << "The active variant (" << ck::variant_name(active)
-            << ") drives both kernel tables: reram (packed crossbar MVMs) "
-               "and rl (DDPG update).\n";
+            << ") drives both kernel tables: reram (packed crossbar MVMs "
+               "and the int8 GEMM) and rl (DDPG update).\n";
   return 0;
 }
 

@@ -48,7 +48,8 @@ bool cpu_supports(Variant v) {
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512dq") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0 &&
-             __builtin_cpu_supports("avx512vpopcntdq") != 0;
+             __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
+             __builtin_cpu_supports("avx512vnni") != 0;
   }
   return false;
 #else

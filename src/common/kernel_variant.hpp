@@ -7,7 +7,7 @@
 //
 //   portable — the project's baseline flags; always available.
 //   avx2     — AVX2 units; requires AVX2.
-//   avx512   — AVX-512 units; requires AVX-512 F/BW/DQ/VL/VPOPCNTDQ.
+//   avx512   — AVX-512 units; requires AVX-512 F/BW/DQ/VL/VPOPCNTDQ/VNNI.
 //
 // A variant is *supported* when the toolchain compiled every table's unit
 // for it (src/CMakeLists.txt decides this once for all tables) and CPUID

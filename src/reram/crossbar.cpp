@@ -408,15 +408,6 @@ void LogicalCrossbar::mvm_reference_accum(std::span<const std::uint8_t> input,
   }
 }
 
-void LogicalCrossbar::mvm_reference_batch_accum(const std::uint8_t* inputs_t,
-                                                std::int64_t count,
-                                                std::int32_t* acc_t) const {
-  kernels::ops().reference_batch(cells_.data(), shape_.cols, rows_used_,
-                                 cols_used_, inputs_t, count, acc_t);
-  OBS_COUNTER_ADD("autohet_kernel_reference_macs_total",
-                  rows_used_ * cols_used_ * count);
-}
-
 void LogicalCrossbar::mvm_bit_serial_batch_accum(
     const std::uint8_t* inputs_t, std::int64_t count, std::int32_t* acc_t,
     kernels::KernelScratch& scratch) const {

@@ -40,6 +40,9 @@ class LogicalCrossbar {
   const mapping::CrossbarShape& shape() const noexcept { return shape_; }
   std::int64_t rows_used() const noexcept { return rows_used_; }
   std::int64_t cols_used() const noexcept { return cols_used_; }
+  /// The programmed (and burned-in) cells, row-major with row stride
+  /// shape().cols — what the integer datapath reads.
+  std::span<const std::int8_t> cells() const noexcept { return cells_; }
 
   /// Programs a rows_used × cols_used weight block (row-major) into the
   /// top-left corner of the array; the rest of the cells stay zero
@@ -102,24 +105,14 @@ class LogicalCrossbar {
                             kernels::KernelScratch& scratch) const;
   void mvm_reference_accum(std::span<const std::uint8_t> input,
                            std::int32_t* out) const;
-  /// Batched reference accumulate over `count` input columns in transposed
-  /// layout: inputs_t is rows_used × count row-major (input row i for all
-  /// columns at inputs_t[i·count ..]), acc_t is cols_used × count (output
-  /// col j for all columns at acc_t[j·count ..]). The innermost loop runs
-  /// contiguously over the batch dimension, so it vectorizes regardless of
-  /// how narrow the crossbar is. Integer sums are exact and reassociate
-  /// freely — results are bit-identical to `count` separate
-  /// mvm_reference_accum calls (zero weights/activations contribute exactly
-  /// zero, so skipping them never changes a sum).
-  void mvm_reference_batch_accum(const std::uint8_t* inputs_t,
-                                 std::int64_t count,
-                                 std::int32_t* acc_t) const;
-  /// Batched packed MVMs over `count` input columns in the same transposed
-  /// layout as mvm_reference_batch_accum (inputs_t rows_used × count,
-  /// acc_t cols_used × count). All `count` samples' input planes are packed
-  /// once and run through a single kernel dispatch, so the indirect-call and
-  /// weight-plane traffic amortize over the batch. Require is_packed();
-  /// bit-identical to `count` separate single-sample accum calls.
+  /// Batched packed MVMs over `count` input columns in transposed layout:
+  /// inputs_t is rows_used × count row-major (input row i for all columns
+  /// at inputs_t[i·count ..]), acc_t is cols_used × count (output col j for
+  /// all columns at acc_t[j·count ..]). All `count` samples' input planes
+  /// are packed once and run through a single kernel dispatch, so the
+  /// indirect-call and weight-plane traffic amortize over the batch.
+  /// Require is_packed(); bit-identical to `count` separate single-sample
+  /// accum calls.
   void mvm_bit_serial_batch_accum(const std::uint8_t* inputs_t,
                                   std::int64_t count, std::int32_t* acc_t,
                                   kernels::KernelScratch& scratch) const;

@@ -26,6 +26,37 @@ constexpr std::uint64_t make_call_key(std::uint64_t noise_stream,
                                       std::uint64_t position) noexcept {
   return (noise_stream << 20) | position;
 }
+
+/// Interleaves a transposed rows × count tile (row i at rows_t[i·count])
+/// into the GEMM's quad layout: xq[(q·count + s)·4 + r] = row 4q+r of sample
+/// s, with the rows past `rows` of the last quad zero. Four byte rows in,
+/// one 4-byte lane per sample out — the loop vectorizes to byte/word
+/// unpacks.
+void interleave_quads(const std::uint8_t* rows_t, std::int64_t rows,
+                      std::int64_t count, std::uint8_t* xq) {
+  for (std::int64_t r0 = 0; r0 < rows; r0 += 4) {
+    const std::uint8_t* a = rows_t + r0 * count;
+    const std::uint8_t* b = r0 + 1 < rows ? a + count : nullptr;
+    const std::uint8_t* c = r0 + 2 < rows ? a + 2 * count : nullptr;
+    const std::uint8_t* d = r0 + 3 < rows ? a + 3 * count : nullptr;
+    std::uint8_t* __restrict out = xq + r0 * count;
+    if (d != nullptr) {
+      for (std::int64_t s = 0; s < count; ++s) {
+        out[4 * s] = a[s];
+        out[4 * s + 1] = b[s];
+        out[4 * s + 2] = c[s];
+        out[4 * s + 3] = d[s];
+      }
+    } else {
+      for (std::int64_t s = 0; s < count; ++s) {
+        out[4 * s] = a[s];
+        out[4 * s + 1] = b != nullptr ? b[s] : std::uint8_t{0};
+        out[4 * s + 2] = c != nullptr ? c[s] : std::uint8_t{0};
+        out[4 * s + 3] = 0;
+      }
+    }
+  }
+}
 }  // namespace
 
 MappedLayer::MappedLayer(const nn::LayerSpec& spec,
@@ -108,19 +139,61 @@ MappedLayer::MappedLayer(const nn::LayerSpec& spec,
   }
 }
 
+void MappedLayer::prepare_gemm() {
+  if (policy_ == KernelPolicy::kFast && gemm_quads_.empty()) pack_gemm();
+}
+
+void MappedLayer::repack_gemm() {
+  if (!gemm_quads_.empty()) pack_gemm();
+}
+
+void MappedLayer::pack_gemm() {
+  if (read_sigma_weights_ > 0.0) {
+    // Read-noisy layers run the per-position path; the quads would be dead.
+    gemm_quads_.clear();
+    gemm_quads_.shrink_to_fit();
+    return;
+  }
+  const std::int64_t cols = spec_.weight_cols();
+  const std::int64_t quads = (spec_.weight_rows() + 3) / 4;
+  gemm_quads_.assign(static_cast<std::size_t>(quads * cols), 0);
+  const std::int64_t cb_count = mapping_.col_blocks;
+  const std::int64_t stride = mapping_.shape.cols;
+  for (std::int64_t rb = 0; rb < mapping_.row_blocks; ++rb) {
+    const std::int64_t r0 = row_ranges_[static_cast<std::size_t>(rb)].first;
+    for (std::int64_t cb = 0; cb < cb_count; ++cb) {
+      const LogicalCrossbar& xb =
+          crossbars_[static_cast<std::size_t>(rb * cb_count + cb)];
+      for (std::int64_t i = 0; i < xb.rows_used(); ++i) {
+        const std::int64_t r = r0 + i;
+        const int shift = static_cast<int>(8 * (r & 3));
+        std::int32_t* dst = gemm_quads_.data() + (r >> 2) * cols + cb * stride;
+        const std::int8_t* src = xb.cells().data() + i * stride;
+        for (std::int64_t j = 0; j < xb.cols_used(); ++j) {
+          const std::uint32_t byte = static_cast<std::uint8_t>(src[j]);
+          dst[j] = static_cast<std::int32_t>(
+              static_cast<std::uint32_t>(dst[j]) | (byte << shift));
+        }
+      }
+    }
+  }
+}
+
 void MappedLayer::burn_faults(const FaultModel& faults, std::uint64_t layer_id,
                               bool reference_path) {
   fault_stats_ = {};
   read_sigma_weights_ = 0.0;
-  if (faults.ideal()) return;
-  const std::uint64_t base_id = layer_id * kFaultIdStride;
-  for (std::size_t i = 0; i < crossbars_.size(); ++i) {
-    fault_stats_ += crossbars_[i].apply_faults(
-        faults, base_id + static_cast<std::uint64_t>(i), reference_path);
+  if (!faults.ideal()) {
+    const std::uint64_t base_id = layer_id * kFaultIdStride;
+    for (std::size_t i = 0; i < crossbars_.size(); ++i) {
+      fault_stats_ += crossbars_[i].apply_faults(
+          faults, base_id + static_cast<std::uint64_t>(i), reference_path);
+    }
+    read_sigma_weights_ = faults.read_noise_weight_sigma();
+    read_base_ = common::Rng(faults.config().seed ^ 0x5eadbeefcafeULL)
+                     .child(layer_id);
   }
-  read_sigma_weights_ = faults.read_noise_weight_sigma();
-  read_base_ = common::Rng(faults.config().seed ^ 0x5eadbeefcafeULL)
-                   .child(layer_id);
+  repack_gemm();
 }
 
 void MappedLayer::burn_faults_recording(const FaultModel& faults,
@@ -138,6 +211,11 @@ void MappedLayer::burn_faults_recording(const FaultModel& faults,
   read_sigma_weights_ = faults.read_noise_weight_sigma();
   read_base_ = common::Rng(faults.config().seed ^ 0x5eadbeefcafeULL)
                    .child(layer_id);
+  // A recording is a replay source, never run itself: drop the GEMM quads
+  // instead of repacking them (replay_faults packs each clone), so cached
+  // recordings stay at their unpacked size.
+  gemm_quads_.clear();
+  gemm_quads_.shrink_to_fit();
 }
 
 void MappedLayer::replay_faults(
@@ -154,6 +232,7 @@ void MappedLayer::replay_faults(
   read_sigma_weights_ = faults.read_noise_weight_sigma();
   read_base_ = common::Rng(faults.config().seed ^ 0x5eadbeefcafeULL)
                    .child(layer_id);
+  repack_gemm();
 }
 
 void MappedLayer::prepare_packed() {
@@ -235,20 +314,28 @@ void MappedLayer::mvm_batch_into(const std::uint8_t* columns_t,
   OBS_COUNTER_ADD("autohet_functional_mvm_total",
                   static_cast<std::uint64_t>(count));
   std::fill(accs_t.begin(), accs_t.end(), 0);
+  if (mode == DatapathMode::kInteger) {
+    AUTOHET_CHECK(!gemm_quads_.empty(),
+                  "integer batched MVM requires prepare_gemm()");
+    const std::int64_t rows = spec_.weight_rows();
+    const std::int64_t quads = (rows + 3) / 4;
+    std::uint8_t* xq =
+        scratch.quads(static_cast<std::size_t>(quads * count * 4));
+    interleave_quads(columns_t, rows, count, xq);
+    kernels::ops().int8_gemm(gemm_quads_.data(), quads, cols, xq, count,
+                             accs_t.data());
+    OBS_COUNTER_ADD("autohet_kernel_reference_macs_total",
+                    rows * cols * count);
+    return;
+  }
   const std::int64_t cb_count = mapping_.col_blocks;
   for (std::int64_t rb = 0; rb < mapping_.row_blocks; ++rb) {
-    const auto [r0, r1] = row_ranges_[static_cast<std::size_t>(rb)];
-    (void)r1;
+    const std::int64_t r0 = row_ranges_[static_cast<std::size_t>(rb)].first;
     for (std::int64_t cb = 0; cb < cb_count; ++cb) {
       const std::size_t idx = static_cast<std::size_t>(rb * cb_count + cb);
-      std::int32_t* acc = accs_t.data() + cb * mapping_.shape.cols * count;
-      if (mode == DatapathMode::kBitSerial) {
-        crossbars_[idx].mvm_bit_serial_batch_accum(columns_t + r0 * count,
-                                                   count, acc, scratch);
-      } else {
-        crossbars_[idx].mvm_reference_batch_accum(columns_t + r0 * count,
-                                                  count, acc);
-      }
+      crossbars_[idx].mvm_bit_serial_batch_accum(
+          columns_t + r0 * count, count,
+          accs_t.data() + cb * mapping_.shape.cols * count, scratch);
     }
   }
 }
@@ -294,6 +381,7 @@ std::vector<std::int32_t> MappedLayer::mvm_scalar(
 
 void MappedLayer::apply_variation(common::Rng& rng, double sigma) {
   for (auto& xb : crossbars_) xb.apply_variation(rng, sigma);
+  repack_gemm();
 }
 
 void SimulatedModel::apply_variation(common::Rng& rng, double sigma) {
@@ -322,11 +410,21 @@ SimulatedModel::SimulatedModel(
     layers_.emplace_back(mappable[i], model.weight(i), shapes[i], fm,
                          static_cast<std::uint64_t>(i), policy_);
   }
-  // The integer datapath never reads the packed planes; pack only when the
-  // bit-serial fast kernels will actually run (packing costs a pass per
-  // crossbar, wasted on every Monte-Carlo trial fabric otherwise).
-  if (mode_ == DatapathMode::kBitSerial && policy_ == KernelPolicy::kFast) {
-    for (auto& layer : layers_) layer.prepare_packed();
+  prepare_kernels();
+}
+
+void SimulatedModel::prepare_kernels() {
+  // Each datapath reads only its own packed form; pack for the fast
+  // kernels that will actually run (packing costs a pass per crossbar,
+  // wasted on every Monte-Carlo trial fabric otherwise). Both calls are
+  // idempotent, so prebuilt layers that are already packed pass through.
+  if (policy_ != KernelPolicy::kFast) return;
+  for (auto& layer : layers_) {
+    if (mode_ == DatapathMode::kBitSerial) {
+      layer.prepare_packed();
+    } else {
+      layer.prepare_gemm();
+    }
   }
 }
 
@@ -349,9 +447,7 @@ SimulatedModel::SimulatedModel(const nn::Model& model,
                          plan.allocation.layers[i].mapping, fm,
                          static_cast<std::uint64_t>(i), policy_);
   }
-  if (mode_ == DatapathMode::kBitSerial && policy_ == KernelPolicy::kFast) {
-    for (auto& layer : layers_) layer.prepare_packed();
-  }
+  prepare_kernels();
 }
 
 SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
@@ -366,11 +462,7 @@ SimulatedModel::SimulatedModel(const nn::Model& model, DatapathMode mode,
                 "one prebuilt layer per mappable layer required");
   AUTOHET_CHECK(faults.read_sigma == 0.0 || mode == DatapathMode::kInteger,
                 "read noise requires the integer datapath");
-  // Mirrors the shape-list constructor; packing is idempotent, so layers
-  // prebuilt packed pass through untouched.
-  if (mode_ == DatapathMode::kBitSerial && policy_ == KernelPolicy::kFast) {
-    for (auto& layer : layers_) layer.prepare_packed();
-  }
+  prepare_kernels();
 }
 
 SimulatedModel SimulatedModel::with_faults(const FaultConfig& faults) const {
@@ -420,6 +512,7 @@ SimulatedModel SimulatedModel::replay_faults(
                                  static_cast<std::uint64_t>(i),
                                  record.layers[i]);
   }
+  out.prepare_kernels();  // recordings carry no GEMM quads
   return out;
 }
 
@@ -522,32 +615,72 @@ tensor::Tensor SimulatedModel::run_mappable(
   };
 
   // GEMM-shaped fast path (integer or bit-serial datapath, noise-free
-  // fabric): im2col a tile of output positions and push them through one
-  // batched MVM per crossbar. Integer sums are exact, so the results are
-  // bit-identical to the per-position loop below — only per-position call
-  // overhead goes. Tiles write disjoint output slices, so a pool runs them
-  // concurrently with no reduction step at all.
+  // fabric): unfold a tile of output positions straight into the
+  // transposed im2col layout (row k of the unfolded matrix for every
+  // position of the tile, contiguous) and push it through one batched MVM.
+  // Integer sums are exact, so the results are bit-identical to the
+  // per-position loop below — only per-position call overhead goes. Tiles
+  // write disjoint output slices, so a pool runs them concurrently with no
+  // reduction step at all.
   if (!scalar && !layer.read_noisy()) {
-    constexpr std::int64_t kTile = 96;
+    constexpr std::int64_t kTile = 128;
+    // Copies run in 16-byte chunks that may overshoot a run by up to 15
+    // bytes; both buffers carry that much slack, and every overshoot lands
+    // on bytes a later run rewrites.
+    constexpr std::int64_t kChunk = 16;
     const std::int64_t positions = oh * ow;
     const std::int64_t rows = spec.weight_rows();
     const std::int64_t cols = spec.weight_cols();
     const std::int64_t tiles = (positions + kTile - 1) / kTile;
+    const std::int64_t k2 = k * k;
+    const std::int64_t s = spec.stride;
+    // The quantized input with its zero padding materialized once per layer,
+    // so every unfolded run below is a plain copy with no edge handling.
+    const std::int64_t hp = h + 2 * spec.pad;
+    const std::int64_t wp = w + 2 * spec.pad;
+    std::uint8_t* padded = scratch.padded_input(
+        static_cast<std::size_t>(spec.in_channels * hp * wp + kChunk));
+    std::memset(padded, 0,
+                static_cast<std::size_t>(spec.in_channels * hp * wp + kChunk));
+    for (std::int64_t ch = 0; ch < spec.in_channels; ++ch) {
+      for (std::int64_t i = 0; i < h; ++i) {
+        std::memcpy(padded + (ch * hp + i + spec.pad) * wp + spec.pad,
+                    qa.values.data() + (ch * h + i) * w,
+                    static_cast<std::size_t>(w));
+      }
+    }
     const auto run_tile = [&](std::size_t tile_idx) {
       thread_local kernels::KernelScratch tile_scratch;
       const std::int64_t p0 = static_cast<std::int64_t>(tile_idx) * kTile;
       const std::int64_t n = std::min(kTile, positions - p0);
-      std::uint8_t* column =
-          tile_scratch.column(static_cast<std::size_t>(rows));
       std::uint8_t* cols_t =
-          tile_scratch.columns_t(static_cast<std::size_t>(n * rows));
+          tile_scratch.columns_t(static_cast<std::size_t>(n * rows + kChunk));
       std::int32_t* accs_t =
           tile_scratch.accs_t(static_cast<std::size_t>(n * cols));
-      for (std::int64_t t = 0; t < n; ++t) {
-        fill_column((p0 + t) / ow, (p0 + t) % ow, column);
-        for (std::int64_t i = 0; i < rows; ++i) {
-          cols_t[static_cast<std::size_t>(i * n + t)] =
-              column[static_cast<std::size_t>(i)];
+      // Unfolded row k = (channel, ki, kj) over positions p0 .. p0+n: per
+      // output row, one run of padded input row oi·s + ki starting at
+      // column oj·s + kj — contiguous for stride 1, a gather otherwise.
+      const std::int64_t oi0 = p0 / ow;
+      const std::int64_t oj00 = p0 % ow;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const std::int64_t ch = r / k2;
+        const std::int64_t ki = (r % k2) / k;
+        const std::int64_t kj = r % k;
+        const std::uint8_t* plane_in = padded + ch * hp * wp + kj;
+        std::uint8_t* dst = cols_t + r * n;
+        std::int64_t left = n;
+        for (std::int64_t oi = oi0, oj0 = oj00; left > 0; ++oi, oj0 = 0) {
+          const std::int64_t len = std::min(ow - oj0, left);
+          const std::uint8_t* src = plane_in + (oi * s + ki) * wp + oj0 * s;
+          if (s == 1) {
+            for (std::int64_t t = 0; t < len; t += kChunk) {
+              std::memcpy(dst + t, src + t, kChunk);
+            }
+          } else {
+            for (std::int64_t t = 0; t < len; ++t) dst[t] = src[t * s];
+          }
+          dst += len;
+          left -= len;
         }
       }
       layer.mvm_batch_into(
@@ -578,7 +711,8 @@ tensor::Tensor SimulatedModel::run_mappable(
   const auto run_row = [&](std::size_t oi_idx) {
     const auto oi = static_cast<std::int64_t>(oi_idx);
     thread_local kernels::KernelScratch row_scratch;
-    std::vector<std::uint8_t> column(
+    const std::span<std::uint8_t> column(
+        row_scratch.column(static_cast<std::size_t>(spec.weight_rows())),
         static_cast<std::size_t>(spec.weight_rows()));
     std::vector<std::int32_t> acc(
         static_cast<std::size_t>(spec.weight_cols()));
@@ -618,24 +752,30 @@ tensor::Tensor SimulatedModel::run_mappable(
 tensor::Tensor SimulatedModel::forward(const tensor::Tensor& input,
                                        std::uint64_t noise_stream,
                                        common::ThreadPool* pool) const {
-  return forward_traced(input, noise_stream, pool).output;
+  return run_chain(input, noise_stream, pool, /*record=*/false).output;
 }
 
 SimulatedModel::ForwardTrace SimulatedModel::forward_traced(
     const tensor::Tensor& input, std::uint64_t noise_stream,
     common::ThreadPool* pool) const {
+  return run_chain(input, noise_stream, pool, /*record=*/true);
+}
+
+SimulatedModel::ForwardTrace SimulatedModel::run_chain(
+    const tensor::Tensor& input, std::uint64_t noise_stream,
+    common::ThreadPool* pool, bool record) const {
   const nn::NetworkSpec& spec = model_->spec();
   AUTOHET_CHECK(spec.sequential_runnable,
                 "network is not sequentially runnable (" + spec.name + ")");
   ForwardTrace trace;
-  trace.mappable_outputs.reserve(layers_.size());
+  if (record) trace.mappable_outputs.reserve(layers_.size());
   tensor::Tensor x = input;
   std::size_t mappable_idx = 0;
   for (std::size_t i = 0; i < spec.layers.size(); ++i) {
     const nn::LayerSpec& layer = spec.layers[i];
     if (nn::is_mappable(layer.type)) {
       x = run_mappable(layers_[mappable_idx++], x, noise_stream, pool);
-      trace.mappable_outputs.push_back(x);  // pre-activation layer output
+      if (record) trace.mappable_outputs.push_back(x);  // pre-activation
     } else {
       x = model_->forward_layer(i, x);
     }
@@ -659,10 +799,21 @@ tensor::Tensor residual_add_exact(const tensor::Tensor& a,
   if (absmax == 0.0f) return out;  // both zero
   const float scale = absmax / 127.0f;
   const float inv = 127.0f / absmax;
+  // Round half away from zero, as lroundf does, without the libm call:
+  // |x·inv| ≤ ~127 < 2^23, so truncation plus an exact fractional compare
+  // reproduces it bit for bit, and the loop vectorizes.
+  const auto round_exact = [](float x) {
+    const auto t = static_cast<std::int32_t>(x);
+    const float frac = x - static_cast<float>(t);
+    return t + (frac >= 0.5f ? 1 : 0) - (frac <= -0.5f ? 1 : 0);
+  };
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
   for (std::int64_t j = 0; j < out.numel(); ++j) {
-    const auto qa = static_cast<std::int32_t>(std::lroundf(a[j] * inv));
-    const auto qb = static_cast<std::int32_t>(std::lroundf(b[j] * inv));
-    out[j] = static_cast<float>(qa + qb) * scale;
+    po[j] = static_cast<float>(round_exact(pa[j] * inv) +
+                               round_exact(pb[j] * inv)) *
+            scale;
   }
   return out;
 }
@@ -672,6 +823,12 @@ tensor::Tensor residual_add_exact(const tensor::Tensor& a,
 SimulatedModel::ForwardTrace SimulatedModel::forward_graph_traced(
     const nn::Graph& graph, const tensor::Tensor& input,
     std::uint64_t noise_stream, common::ThreadPool* pool) const {
+  return run_graph(graph, input, noise_stream, pool, /*record=*/true);
+}
+
+SimulatedModel::ForwardTrace SimulatedModel::run_graph(
+    const nn::Graph& graph, const tensor::Tensor& input,
+    std::uint64_t noise_stream, common::ThreadPool* pool, bool record) const {
   AUTOHET_CHECK(graph.skeleton().layers == model_->spec().layers,
                 "graph '" + graph.name() +
                     "' skeleton does not match the model this fabric was "
@@ -691,7 +848,7 @@ SimulatedModel::ForwardTrace SimulatedModel::forward_graph_traced(
   ++uses[static_cast<std::size_t>(out_id)];
 
   ForwardTrace trace;
-  trace.mappable_outputs.reserve(layers_.size());
+  if (record) trace.mappable_outputs.reserve(layers_.size());
   std::vector<tensor::Tensor> values(nodes.size());
   std::size_t mappable_idx = 0;
   std::size_t skeleton_idx = 0;
@@ -710,7 +867,7 @@ SimulatedModel::ForwardTrace SimulatedModel::forward_graph_traced(
             values[static_cast<std::size_t>(node.inputs[0])];
         if (nn::is_mappable(node.layer.type)) {
           v = run_mappable(layers_[mappable_idx++], x, noise_stream, pool);
-          trace.mappable_outputs.push_back(v);  // pre-activation output
+          if (record) trace.mappable_outputs.push_back(v);  // pre-activation
         } else {
           v = model_->forward_layer(skeleton_idx, x);
         }
@@ -769,7 +926,7 @@ tensor::Tensor SimulatedModel::forward_graph(const nn::Graph& graph,
                                              const tensor::Tensor& input,
                                              std::uint64_t noise_stream,
                                              common::ThreadPool* pool) const {
-  return forward_graph_traced(graph, input, noise_stream, pool).output;
+  return run_graph(graph, input, noise_stream, pool, /*record=*/false).output;
 }
 
 std::vector<SimulatedModel::ForwardTrace> SimulatedModel::forward_traced_batch(

@@ -116,12 +116,15 @@ class MappedLayer {
   /// (output col j for every column at accs_t[j·count ..], zero-filled
   /// here). The batch dimension is innermost and contiguous, so the kernel
   /// vectorizes even on narrow crossbars and the per-call overhead of
-  /// `count` separate mvm_into calls is amortized away. Supports the
-  /// integer datapath (batched GEMM kernel) and the bit-serial datapath
-  /// (all samples' packed input planes pushed through one dispatched
-  /// AND+popcount kernel; requires prepare_packed()). Integer sums are
-  /// exact — results are bit-identical to per-column mvm_into. Noise-free
-  /// fabrics only (checked).
+  /// `count` separate mvm_into calls is amortized away. The integer
+  /// datapath interleaves the rows into 4-row quads and runs ONE int8 GEMM
+  /// over the whole layer against the packed weight quads (every crossbar
+  /// at once: the row blocks' partial sums merge inside the exact integer
+  /// accumulation; requires prepare_gemm()); the bit-serial datapath
+  /// pushes all samples' packed input planes through one dispatched
+  /// AND+popcount kernel per crossbar (requires prepare_packed()). Integer
+  /// sums are exact — results are bit-identical to per-column mvm_into.
+  /// Noise-free fabrics only (checked).
   void mvm_batch_into(const std::uint8_t* columns_t, std::int64_t count,
                       DatapathMode mode, std::span<std::int32_t> accs_t,
                       kernels::KernelScratch& scratch) const;
@@ -157,6 +160,13 @@ class MappedLayer {
   /// multilevel MVMs take the AND+popcount kernels.
   void prepare_packed();
 
+  /// Packs the layer's weights into the integer GEMM's quads (idempotent)
+  /// so integer batched MVMs can run; a no-op under the scalar policy and
+  /// on read-noisy layers (they take the per-position path). Once packed,
+  /// every burn-in path and apply_variation repack, as the crossbars do
+  /// their bit planes.
+  void prepare_gemm();
+
   /// Burns a fault model into the (clean) programmed arrays: the same
   /// operation the fault-model constructor path performs, exposed so a
   /// fabric clone can re-burn per-trial faults without re-quantizing and
@@ -168,7 +178,8 @@ class MappedLayer {
   /// burn_faults variant that applies programming variation and *records*
   /// the stuck-draw stream per crossbar instead of applying it (see
   /// FaultModel::apply_recording). Fault stats hold the variation-only
-  /// counts until replay_faults completes the burn.
+  /// counts until replay_faults completes the burn. The layer drops its
+  /// GEMM quads: a recording is a replay source, not run itself.
   void burn_faults_recording(const FaultModel& faults, std::uint64_t layer_id,
                              std::vector<CrossbarBurnRecord>& out);
 
@@ -188,6 +199,11 @@ class MappedLayer {
   const FaultMapStats& fault_stats() const noexcept { return fault_stats_; }
 
  private:
+  /// Rebuilds gemm_quads_ from the crossbars' current cells (clears it on a
+  /// read-noisy layer); repack_gemm does so only when already packed.
+  void pack_gemm();
+  void repack_gemm();
+
   nn::LayerSpec spec_;
   mapping::LayerMapping mapping_;
   float weight_scale_ = 1.0f;
@@ -199,6 +215,12 @@ class MappedLayer {
   std::vector<std::pair<std::int64_t, std::int64_t>> row_ranges_;
   FaultMapStats fault_stats_;
   double read_sigma_weights_ = 0.0;  ///< per-read weight-LSB noise rms
+  /// The layer's effective weight matrix for the integer GEMM kernel:
+  /// quads × weight_cols() int32, quad q of column j holding rows
+  /// 4q..4q+3 as int8 bytes (low byte first), rows past weight_rows()
+  /// zero. Each crossbar's used cells land at their layer coordinates, so
+  /// one GEMM covers every row and column block. Empty = not packed.
+  std::vector<std::int32_t> gemm_quads_;
   /// Base of the cycle-to-cycle read-noise stream, seeded from the fault
   /// seed and layer id. Never advanced in place: each MVM derives a child
   /// stream from (call_key, crossbar index), keeping const methods
@@ -239,7 +261,8 @@ class SimulatedModel {
 
   /// with_faults variant that burns `faults`' programming variation while
   /// *recording* the stuck-draw stream into `record`: the returned fabric is
-  /// the post-variation state, completed per-rate by replay_faults. Requires
+  /// the post-variation state, completed per-rate by replay_faults (which
+  /// packs the integer GEMM weights the recording leaves out). Requires
   /// an ideal source fabric and FaultModel(faults).record_eligible().
   SimulatedModel with_faults_recorded(const FaultConfig& faults,
                                       TrialBurnRecord& record) const;
@@ -333,6 +356,17 @@ class SimulatedModel {
   void apply_variation(common::Rng& rng, double sigma);
 
  private:
+  /// Packs every layer for the fast kernels of this fabric's datapath.
+  void prepare_kernels();
+  /// The chain and DAG forwards behind the public entry points; `record`
+  /// keeps each mappable layer's output in the trace (the untraced
+  /// forwards skip those copies).
+  ForwardTrace run_chain(const tensor::Tensor& input,
+                         std::uint64_t noise_stream, common::ThreadPool* pool,
+                         bool record) const;
+  ForwardTrace run_graph(const nn::Graph& graph, const tensor::Tensor& input,
+                         std::uint64_t noise_stream, common::ThreadPool* pool,
+                         bool record) const;
   tensor::Tensor run_mappable(const MappedLayer& layer,
                               const tensor::Tensor& input,
                               std::uint64_t noise_stream,

@@ -5,7 +5,8 @@
 //
 // Popcount uses the nibble-LUT technique (Mula): vpshufb maps each nibble
 // to its bit count, vpsadbw folds the byte counts into per-64-bit-lane
-// sums — 256 bits per iteration against the portable path's 64.
+// sums — 256 bits per iteration against the portable path's 64. The int8
+// GEMM widens bytes to int16 and multiplies with vpmaddwd.
 #include <cstdint>
 
 #include "reram/kernels/kernels.hpp"
@@ -102,20 +103,71 @@ struct Avx2Core {
     for (; w < words; ++w) n += std::popcount(x[w]);
     return n;
   }
-  static void madd(std::int32_t* acc, const std::uint8_t* xs, std::int32_t w,
-                   std::int64_t count) {
-    const __m256i wv = _mm256_set1_epi32(w);
-    std::int64_t s = 0;
-    for (; s + 8 <= count; s += 8) {
-      const __m256i x32 = _mm256_cvtepu8_epi32(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(xs + s)));
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + s));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(acc + s),
-          _mm256_add_epi32(a, _mm256_mullo_epi32(x32, wv)));
+  // vpmaddwd GEMM tile: 8 samples' quads (32 bytes) widen with vpmovzxbw
+  // into two vectors of 4 samples, and vpmaddwd against the sign-extended
+  // weight quad leaves each sample's quad as two int32 pair sums. The pairs
+  // stay split in the accumulators and fold once per tile (vphaddd), so the
+  // quad loop is widen + multiply-add only. vpmaddubsw would be one
+  // instruction shorter but saturates its int16 pair sums (255·127·2).
+  // 4 columns × 1 vector = 8 pair accumulators + 2 inputs + 1 weight.
+  static constexpr int kTileCols = 4;
+  static constexpr int kTileVectors = 1;
+  static constexpr std::int64_t kVectorPositions = 8;
+  template <int NB, int NV>
+  static void gemm_tile(const std::int32_t* wq, std::int64_t quads,
+                        std::int64_t cols, const std::uint8_t* xq,
+                        std::int64_t count, std::int32_t* acc,
+                        std::int64_t last) {
+    __m256i m[NV];
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) m[v] = _mm256_set1_epi32(-1);
+    m[NV - 1] = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(last)),
+                                   _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    __m256i lo[NB][NV];
+    __m256i hi[NB][NV];
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) {
+        lo[b][v] = _mm256_setzero_si256();
+        hi[b][v] = _mm256_setzero_si256();
+      }
     }
-    for (; s < count; ++s) acc[s] += w * static_cast<std::int32_t>(xs[s]);
+    for (std::int64_t q = 0; q < quads; ++q) {
+      const std::uint8_t* x = xq + q * count * 4;
+      const std::int32_t* w = wq + q * cols;
+      __m256i xl[NV];
+      __m256i xh[NV];
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) {
+        const __m256i raw = _mm256_maskload_epi32(
+            reinterpret_cast<const int*>(x + v * 32), m[v]);
+        xl[v] = _mm256_cvtepu8_epi16(_mm256_castsi256_si128(raw));
+        xh[v] = _mm256_cvtepu8_epi16(_mm256_extracti128_si256(raw, 1));
+      }
+#pragma GCC unroll 4
+      for (int b = 0; b < NB; ++b) {
+        const __m256i wv = _mm256_cvtepi8_epi16(_mm_set1_epi32(w[b]));
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) {
+          lo[b][v] = _mm256_add_epi32(lo[b][v], _mm256_madd_epi16(xl[v], wv));
+          hi[b][v] = _mm256_add_epi32(hi[b][v], _mm256_madd_epi16(xh[v], wv));
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) {
+        // hadd → samples [0 1 4 5 | 2 3 6 7]; the 64-bit permute restores
+        // sample order.
+        const __m256i sum = _mm256_permute4x64_epi64(
+            _mm256_hadd_epi32(lo[b][v], hi[b][v]), 0xd8);
+        int* a = reinterpret_cast<int*>(acc + b * count + v * 8);
+        _mm256_maskstore_epi32(
+            a, m[v], _mm256_add_epi32(_mm256_maskload_epi32(a, m[v]), sum));
+      }
+    }
   }
 };
 
@@ -137,12 +189,10 @@ void multilevel_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
                                         acc_t);
 }
 
-void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
-                     std::int64_t rows, std::int64_t cols,
-                     const std::uint8_t* inputs_t, std::int64_t count,
-                     std::int32_t* acc_t) {
-  detail::reference_batch_impl<Avx2Core>(cells, row_stride, rows, cols,
-                                         inputs_t, count, acc_t);
+void int8_gemm(const std::int32_t* wq, std::int64_t quads, std::int64_t cols,
+               const std::uint8_t* xq, std::int64_t count,
+               std::int32_t* acc_t) {
+  detail::int8_gemm_impl<Avx2Core>(wq, quads, cols, xq, count, acc_t);
 }
 
 std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
@@ -152,7 +202,7 @@ std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
 }  // namespace
 
 namespace detail {
-const Ops kAvx2Ops = {"avx2", bit_serial_mvm, multilevel_mvm, reference_batch,
+const Ops kAvx2Ops = {"avx2", bit_serial_mvm, multilevel_mvm, int8_gemm,
                       popcount_words};
 }  // namespace detail
 

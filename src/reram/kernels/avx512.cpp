@@ -1,7 +1,8 @@
 // AVX-512 kernel variant: 512-bit lanes with the dedicated VPOPCNTDQ
-// per-64-bit popcount instruction and masked loads for ragged word tails.
-// Compiled with -mavx512f -mavx512bw -mavx512vl -mavx512vpopcntdq (per-file
-// flags in src/reram/CMakeLists.txt — never globally); gated on
+// per-64-bit popcount instruction, the VNNI vpdpbusd int8 dot product for
+// the GEMM, and masked loads for ragged tails. Compiled with -mavx512f
+// -mavx512bw -mavx512vl -mavx512vpopcntdq -mavx512vnni (per-file flags in
+// src/reram/CMakeLists.txt — never globally); gated on
 // AUTOHET_KERNELS_AVX512 exactly like the AVX2 unit.
 #include <cstdint>
 
@@ -104,25 +105,54 @@ struct Avx512Core {
     }
     return hsum512(acc);
   }
-  static void madd(std::int32_t* acc, const std::uint8_t* xs, std::int32_t w,
-                   std::int64_t count) {
-    const __m512i wv = _mm512_set1_epi32(w);
-    std::int64_t s = 0;
-    for (; s + 16 <= count; s += 16) {
-      const __m512i x32 = _mm512_cvtepu8_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xs + s)));
-      const __m512i a = _mm512_loadu_si512(acc + s);
-      _mm512_storeu_si512(acc + s,
-                          _mm512_add_epi32(a, _mm512_mullo_epi32(x32, wv)));
+  // VNNI GEMM tile: lanes run over samples (16 per zmm, one 4-byte quad
+  // each), and vpdpbusd adds the four u8·s8 products of a lane's quad into
+  // its int32 accumulator against the broadcast weight quad. 6 columns × 4
+  // vectors = 24 accumulators + 4 input vectors + 1 broadcast of 32 zmm.
+  static constexpr int kTileCols = 6;
+  static constexpr int kTileVectors = 4;
+  static constexpr std::int64_t kVectorPositions = 16;
+  template <int NB, int NV>
+  static void gemm_tile(const std::int32_t* wq, std::int64_t quads,
+                        std::int64_t cols, const std::uint8_t* xq,
+                        std::int64_t count, std::int32_t* acc,
+                        std::int64_t last) {
+    __mmask16 m[NV];
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) m[v] = 0xffff;
+    m[NV - 1] = static_cast<__mmask16>((1u << last) - 1u);
+    __m512i c[NB][NV];
+#pragma GCC unroll 6
+    for (int b = 0; b < NB; ++b) {
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) c[b][v] = _mm512_setzero_si512();
     }
-    if (s < count) {
-      const __mmask16 m =
-          static_cast<__mmask16>((1u << (count - s)) - 1u);
-      const __m512i x32 =
-          _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(m, xs + s));
-      const __m512i a = _mm512_maskz_loadu_epi32(m, acc + s);
-      _mm512_mask_storeu_epi32(
-          acc + s, m, _mm512_add_epi32(a, _mm512_mullo_epi32(x32, wv)));
+    for (std::int64_t q = 0; q < quads; ++q) {
+      const std::uint8_t* x = xq + q * count * 4;
+      const std::int32_t* w = wq + q * cols;
+      __m512i xv[NV];
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) {
+        xv[v] = _mm512_maskz_loadu_epi32(m[v], x + v * 64);
+      }
+#pragma GCC unroll 6
+      for (int b = 0; b < NB; ++b) {
+        const __m512i wv = _mm512_set1_epi32(w[b]);
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) {
+          c[b][v] = _mm512_dpbusd_epi32(c[b][v], xv[v], wv);
+        }
+      }
+    }
+#pragma GCC unroll 6
+    for (int b = 0; b < NB; ++b) {
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) {
+        std::int32_t* a = acc + b * count + v * 16;
+        _mm512_mask_storeu_epi32(
+            a, m[v],
+            _mm512_add_epi32(_mm512_maskz_loadu_epi32(m[v], a), c[b][v]));
+      }
     }
   }
 };
@@ -145,12 +175,10 @@ void multilevel_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
                                           acc_t);
 }
 
-void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
-                     std::int64_t rows, std::int64_t cols,
-                     const std::uint8_t* inputs_t, std::int64_t count,
-                     std::int32_t* acc_t) {
-  detail::reference_batch_impl<Avx512Core>(cells, row_stride, rows, cols,
-                                           inputs_t, count, acc_t);
+void int8_gemm(const std::int32_t* wq, std::int64_t quads, std::int64_t cols,
+               const std::uint8_t* xq, std::int64_t count,
+               std::int32_t* acc_t) {
+  detail::int8_gemm_impl<Avx512Core>(wq, quads, cols, xq, count, acc_t);
 }
 
 std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
@@ -161,7 +189,7 @@ std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
 
 namespace detail {
 const Ops kAvx512Ops = {"avx512", bit_serial_mvm, multilevel_mvm,
-                        reference_batch, popcount_words};
+                        int8_gemm, popcount_words};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

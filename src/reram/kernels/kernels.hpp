@@ -1,18 +1,20 @@
 // Dispatching kernel backend for the packed bit-plane crossbar primitives.
 //
 // The functional simulator's hot loops — bit-serial and multilevel
-// AND+popcount MVMs over packed uint64 bit planes, and the batched integer
-// GEMM over raw cells — are implemented once per ISA variant behind one
+// AND+popcount MVMs over packed uint64 bit planes, and the exact int8 GEMM
+// of the integer datapath — are implemented once per ISA variant behind one
 // table of function pointers (the ggml idiom: each variant lives in its own
 // translation unit compiled with that ISA's flags, and the best supported
 // variant is selected by CPUID at startup). Three variants exist:
 //
-//   portable — plain C++ word loops, compiled with the project's baseline
-//              flags; always available and the equivalence baseline.
+//   portable — plain C++ word and integer loops, compiled with the
+//              project's baseline flags; always available and the
+//              equivalence baseline.
 //   avx2     — 256-bit lanes, popcount via the nibble-LUT (vpshufb) +
-//              psadbw byte-sum technique; requires AVX2.
-//   avx512   — 512-bit lanes with the VPOPCNTDQ instruction; requires
-//              AVX-512 F/BW/VL/VPOPCNTDQ.
+//              psadbw byte-sum technique, GEMM via vpmovzxbw + vpmaddwd;
+//              requires AVX2.
+//   avx512   — 512-bit lanes with the VPOPCNTDQ instruction, GEMM via
+//              VNNI vpdpbusd; requires AVX-512 F/BW/DQ/VL/VPOPCNTDQ/VNNI.
 //
 // Every op is integer-exact, so all variants produce bit-identical results
 // on identical inputs — the scalar-reference oracle and the byte-identical
@@ -32,6 +34,11 @@
 //   * packed inputs: xbits[(s * 8 + xb) * words + w] — 8 contiguous input
 //     bit planes per sample; a single sample (count == 1) is the classic
 //     xbits[xb * words + w] layout.
+//   * GEMM weights: wq[q * cols + j] — one int32 "quad" per (4-row group q,
+//     column j) holding the int8 weights of rows 4q..4q+3 as bytes 0..3
+//     (low byte first); rows past the matrix pack as zero.
+//   * GEMM inputs: xq[(q * count + s) * 4 + r] — row 4q+r of input column s,
+//     so each sample's quad is one 32-bit lane next to its neighbours'.
 //   * accumulators: acc_t[j * count + s] — transposed, batch innermost, so
 //     the batch dimension vectorizes even on narrow crossbars. All ops
 //     accumulate (+=) on top of the caller's contents.
@@ -81,12 +88,14 @@ struct Ops {
                          const std::int64_t* refs,
                          std::int32_t* acc_t) = nullptr;
 
-  /// Batched integer GEMM over the raw cells (skip-zero weights):
-  ///   acc_t[j*count+s] += cells[i*row_stride+j] · inputs_t[i*count+s]
-  void (*reference_batch)(const std::int8_t* cells, std::int64_t row_stride,
-                          std::int64_t rows, std::int64_t cols,
-                          const std::uint8_t* inputs_t, std::int64_t count,
-                          std::int32_t* acc_t) = nullptr;
+  /// Exact int8 GEMM in the quad layouts above:
+  ///   acc_t[j*count+s] += Σ_q Σ_r byte_r(wq[q*cols+j]) · xq[(q*count+s)*4+r]
+  /// Every product is u8·s8 and a quad's four products sum to at most
+  /// 4·255·128 in magnitude, so no variant saturates; the int32 sums are
+  /// exact and therefore identical in any association order.
+  void (*int8_gemm)(const std::int32_t* wq, std::int64_t quads,
+                    std::int64_t cols, const std::uint8_t* xq,
+                    std::int64_t count, std::int32_t* acc_t) = nullptr;
 
   /// Plain popcount over a word run (input-plane popcounts for multilevel).
   std::int64_t (*popcount_words)(const std::uint64_t* x,
@@ -112,6 +121,11 @@ class KernelScratch {
   std::uint8_t* column(std::size_t n) { return grown(column_, n); }
   /// Transposed input tile (rows × count bytes, batch innermost).
   std::uint8_t* columns_t(std::size_t n) { return grown(columns_t_, n); }
+  /// The same tile interleaved into GEMM quads (quads × count × 4 bytes).
+  std::uint8_t* quads(std::size_t n) { return grown(quads_, n); }
+  /// A conv layer's quantized input with its zero padding materialized
+  /// (the im2col source).
+  std::uint8_t* padded_input(std::size_t n) { return grown(padded_, n); }
   /// Transposed accumulator tile (cols × count int32).
   std::int32_t* accs_t(std::size_t n) { return grown(accs_t_, n); }
   /// Per-sample int64 terms (multilevel popx / reference sums, row-block
@@ -127,6 +141,8 @@ class KernelScratch {
   std::vector<std::uint64_t> planes_;
   std::vector<std::uint8_t> column_;
   std::vector<std::uint8_t> columns_t_;
+  std::vector<std::uint8_t> quads_;
+  std::vector<std::uint8_t> padded_;
   std::vector<std::int32_t> accs_t_;
   std::vector<std::int64_t> terms_;
 };

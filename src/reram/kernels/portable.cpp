@@ -1,4 +1,4 @@
-// Portable kernel variant: plain C++ word loops under the project's
+// Portable kernel variant: plain C++ word and integer loops under the project's
 // baseline compiler flags. Always compiled in; the dispatch fallback, the
 // AUTOHET_KERNEL=portable CI baseline, and the denominator of the bench's
 // packed-vs-portable throughput ratio.
@@ -39,10 +39,35 @@ struct PortableCore {
     for (std::int64_t w = 0; w < words; ++w) n += std::popcount(x[w]);
     return n;
   }
-  static void madd(std::int32_t* acc, const std::uint8_t* xs, std::int32_t w,
-                   std::int64_t count) {
-    for (std::int64_t s = 0; s < count; ++s) {
-      acc[s] += w * static_cast<std::int32_t>(xs[s]);
+  // 4 columns × 8 samples of scalar int32 accumulators: each quad's four
+  // weights are unpacked once and reused across the tile's samples.
+  static constexpr int kTileCols = 4;
+  static constexpr int kTileVectors = 1;
+  static constexpr std::int64_t kVectorPositions = 8;
+  template <int NB, int NV>
+  static void gemm_tile(const std::int32_t* wq, std::int64_t quads,
+                        std::int64_t cols, const std::uint8_t* xq,
+                        std::int64_t count, std::int32_t* acc,
+                        std::int64_t last) {
+    const std::int64_t n = (NV - 1) * kVectorPositions + last;
+    std::int32_t c[NB][kVectorPositions] = {};
+    for (std::int64_t q = 0; q < quads; ++q) {
+      const std::uint8_t* x = xq + q * count * 4;
+      const std::int32_t* w = wq + q * cols;
+      for (int b = 0; b < NB; ++b) {
+        const auto u = static_cast<std::uint32_t>(w[b]);
+        const std::int32_t w0 = static_cast<std::int8_t>(u);
+        const std::int32_t w1 = static_cast<std::int8_t>(u >> 8);
+        const std::int32_t w2 = static_cast<std::int8_t>(u >> 16);
+        const std::int32_t w3 = static_cast<std::int8_t>(u >> 24);
+        for (std::int64_t p = 0; p < n; ++p) {
+          const std::uint8_t* xp = x + p * 4;
+          c[b][p] += w0 * xp[0] + w1 * xp[1] + w2 * xp[2] + w3 * xp[3];
+        }
+      }
+    }
+    for (int b = 0; b < NB; ++b) {
+      for (std::int64_t p = 0; p < n; ++p) acc[b * count + p] += c[b][p];
     }
   }
 };
@@ -65,12 +90,10 @@ void multilevel_mvm(const std::uint64_t* planes, std::int64_t plane_cols,
                                             refs, acc_t);
 }
 
-void reference_batch(const std::int8_t* cells, std::int64_t row_stride,
-                     std::int64_t rows, std::int64_t cols,
-                     const std::uint8_t* inputs_t, std::int64_t count,
-                     std::int32_t* acc_t) {
-  detail::reference_batch_impl<PortableCore>(cells, row_stride, rows, cols,
-                                             inputs_t, count, acc_t);
+void int8_gemm(const std::int32_t* wq, std::int64_t quads, std::int64_t cols,
+               const std::uint8_t* xq, std::int64_t count,
+               std::int32_t* acc_t) {
+  detail::int8_gemm_impl<PortableCore>(wq, quads, cols, xq, count, acc_t);
 }
 
 std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
@@ -81,7 +104,7 @@ std::int64_t popcount_words(const std::uint64_t* x, std::int64_t words) {
 
 namespace detail {
 const Ops kPortableOps = {"portable", bit_serial_mvm, multilevel_mvm,
-                          reference_batch, popcount_words};
+                          int8_gemm, popcount_words};
 }  // namespace detail
 
 }  // namespace autohet::reram::kernels

@@ -112,13 +112,13 @@ double DdpgAgent::update() {
   batch_.resize(B);
   weights_.resize(B);
   if (config_.prioritized_replay) {
-    const auto samples =
-        prioritized_replay_.sample(rng_, B, config_.per_beta);
+    per_samples_.resize(B);
+    prioritized_replay_.sample(rng_, config_.per_beta, per_samples_);
     indices_.resize(B);
     for (std::size_t b = 0; b < B; ++b) {
-      batch_[b] = samples[b].transition;
-      weights_[b] = samples[b].weight;
-      indices_[b] = samples[b].index;
+      batch_[b] = per_samples_[b].transition;
+      weights_[b] = per_samples_[b].weight;
+      indices_[b] = per_samples_[b].index;
     }
   } else {
     replay_.sample(rng_, batch_);

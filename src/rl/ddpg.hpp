@@ -103,6 +103,7 @@ class DdpgAgent {
   std::vector<const Transition*> batch_;
   std::vector<double> weights_;
   std::vector<std::size_t> indices_;
+  std::vector<PrioritizedReplayBuffer::Sample> per_samples_;
   Mlp::BatchCache actor_target_cache_;
   Mlp::BatchCache critic_target_cache_;
   Mlp::BatchCache critic_cache_;

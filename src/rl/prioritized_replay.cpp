@@ -25,38 +25,39 @@ void PrioritizedReplayBuffer::add(Transition t) {
   if (size_ < storage_.size()) ++size_;
 }
 
-std::vector<PrioritizedReplayBuffer::Sample> PrioritizedReplayBuffer::sample(
-    common::Rng& rng, std::size_t batch, double beta) const {
+void PrioritizedReplayBuffer::sample(common::Rng& rng, double beta,
+                                     std::span<Sample> out) {
   AUTOHET_CHECK(size_ > 0, "cannot sample from an empty replay buffer");
   AUTOHET_CHECK(beta >= 0.0 && beta <= 1.0, "beta must be in [0, 1]");
   // Prefix sums over the live region for inverse-CDF sampling.
-  std::vector<double> prefix(size_);
+  prefix_.resize(size_);
   double total = 0.0;
   for (std::size_t i = 0; i < size_; ++i) {
     total += priorities_[i];
-    prefix[i] = total;
+    prefix_[i] = total;
   }
   AUTOHET_CHECK(total > 0.0, "all priorities are zero");
 
-  std::vector<Sample> out;
-  out.reserve(batch);
   double max_weight = 0.0;
-  for (std::size_t b = 0; b < batch; ++b) {
+  for (Sample& s : out) {
     const double u = rng.uniform(0.0, total);
-    const auto it = std::lower_bound(prefix.begin(), prefix.end(), u);
-    const std::size_t idx =
-        static_cast<std::size_t>(it - prefix.begin());
-    Sample s;
+    const auto it = std::lower_bound(prefix_.begin(), prefix_.end(), u);
+    const auto idx = static_cast<std::size_t>(it - prefix_.begin());
     s.transition = &storage_[idx];
     s.index = idx;
     const double p = priorities_[idx] / total;
     s.weight = std::pow(static_cast<double>(size_) * p, -beta);
     max_weight = std::max(max_weight, s.weight);
-    out.push_back(s);
   }
   if (max_weight > 0.0) {
-    for (auto& s : out) s.weight /= max_weight;
+    for (Sample& s : out) s.weight /= max_weight;
   }
+}
+
+std::vector<PrioritizedReplayBuffer::Sample> PrioritizedReplayBuffer::sample(
+    common::Rng& rng, std::size_t batch, double beta) {
+  std::vector<Sample> out(batch);
+  sample(rng, beta, out);
   return out;
 }
 

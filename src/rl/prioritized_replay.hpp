@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,11 +33,16 @@ class PrioritizedReplayBuffer {
     double weight = 1.0;     ///< normalized importance-sampling weight
   };
 
-  /// Proportional sampling with replacement; `beta` is the IS-correction
-  /// exponent (1 = full correction). Weights are normalized by the batch
-  /// maximum.
+  /// Proportional sampling with replacement, one sample per slot of `out`
+  /// (slots filled in order, one RNG draw each); `beta` is the
+  /// IS-correction exponent (1 = full correction). Weights are normalized
+  /// by the batch maximum. The prefix sums live in buffer scratch, so
+  /// steady-state calls allocate nothing.
+  void sample(common::Rng& rng, double beta, std::span<Sample> out);
+
+  /// Convenience form: a fresh vector of `batch` samples.
   std::vector<Sample> sample(common::Rng& rng, std::size_t batch,
-                             double beta) const;
+                             double beta);
 
   /// Sets the priority of a sampled transition from its fresh |TD error|.
   void update_priority(std::size_t index, double td_error_abs);
@@ -44,6 +50,7 @@ class PrioritizedReplayBuffer {
  private:
   std::vector<Transition> storage_;
   std::vector<double> priorities_;  ///< already raised to alpha
+  std::vector<double> prefix_;      ///< sample() scratch: priority prefix sums
   std::size_t next_ = 0;
   std::size_t size_ = 0;
   double alpha_;

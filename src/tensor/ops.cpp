@@ -87,17 +87,23 @@ Tensor pool2d(const Tensor& input, std::int64_t window, std::int64_t stride,
   const std::int64_t out_w = (w - window) / stride + 1;
   AUTOHET_CHECK(out_h > 0 && out_w > 0, "pool output collapses to zero");
   Tensor out({c, out_h, out_w});
+  // Raw-pointer walk in the same (ki, kj) reduction order per window, so
+  // the float results match the bounds-checked form bit for bit.
+  const float* in = input.data();
+  float* dst = out.data();
   for (std::int64_t ch = 0; ch < c; ++ch) {
+    const float* plane = in + ch * h * w;
     for (std::int64_t oi = 0; oi < out_h; ++oi) {
-      for (std::int64_t oj = 0; oj < out_w; ++oj) {
+      for (std::int64_t oj = 0; oj < out_w; ++oj, ++dst) {
+        const float* win = plane + oi * stride * w + oj * stride;
         float acc = init;
-        for (std::int64_t ki = 0; ki < window; ++ki) {
+        for (std::int64_t ki = 0; ki < window; ++ki, win += w) {
           for (std::int64_t kj = 0; kj < window; ++kj) {
-            acc = reduce(acc, input.at(ch, oi * stride + ki, oj * stride + kj));
+            acc = reduce(acc, win[kj]);
           }
         }
         if (average) acc /= static_cast<float>(window * window);
-        out.at(ch, oi, oj) = acc;
+        *dst = acc;
       }
     }
   }

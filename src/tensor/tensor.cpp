@@ -1,7 +1,9 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 
@@ -108,8 +110,31 @@ float Tensor::max() const {
 }
 
 float Tensor::abs_max() const {
+  // Eight lanes of GNU vectors keep the scan on the vector unit. Max is
+  // exact and the lanes skip NaN exactly as the sequential
+  // std::max(m, |v|) does, so any lane order returns the same value.
+  using V4f = float __attribute__((vector_size(16)));
+  using V4i = std::int32_t __attribute__((vector_size(16)));
+  const V4i abs_mask = {0x7fffffff, 0x7fffffff, 0x7fffffff, 0x7fffffff};
+  V4f m0 = {}, m1 = {};
+  const float* x = data_.data();
+  const auto n = static_cast<std::int64_t>(data_.size());
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    V4f a, b;
+    std::memcpy(&a, x + i, sizeof a);
+    std::memcpy(&b, x + i + 4, sizeof b);
+    a = std::bit_cast<V4f>(std::bit_cast<V4i>(a) & abs_mask);
+    b = std::bit_cast<V4f>(std::bit_cast<V4i>(b) & abs_mask);
+    m0 = m0 < a ? a : m0;
+    m1 = m1 < b ? b : m1;
+  }
   float m = 0.0f;
-  for (float v : data_) m = std::max(m, std::fabs(v));
+  for (int l = 0; l < 4; ++l) {
+    m = std::max(m, m0[l]);
+    m = std::max(m, m1[l]);
+  }
+  for (; i < n; ++i) m = std::max(m, std::fabs(x[i]));
   return m;
 }
 

@@ -67,20 +67,26 @@ TEST(Ddpg, UpdateIsNoopUntilBatchAvailable) {
 }
 
 TEST(Ddpg, UpdateAllocatesNothingInSteadyState) {
-  // The uniform pool (the search's) samples into agent scratch.
-  rl::DdpgAgent agent(small_config(), common::Rng(5));
-  for (int i = 0; i < 100; ++i) {
-    rl::Transition t;
-    t.state = {0.01 * i, 0.5};
-    t.next_state = {0.5, 0.01 * i};
-    t.action = 0.3;
-    t.reward = 0.1 * (i % 7);
-    agent.remember(std::move(t));
+  // Both pools sample into agent scratch: the uniform one (the search's)
+  // and the prioritized one, whose prefix sums live in buffer scratch.
+  for (const bool prioritized : {false, true}) {
+    rl::DdpgConfig cfg = small_config();
+    cfg.prioritized_replay = prioritized;
+    rl::DdpgAgent agent(cfg, common::Rng(5));
+    for (int i = 0; i < 100; ++i) {
+      rl::Transition t;
+      t.state = {0.01 * i, 0.5};
+      t.next_state = {0.5, 0.01 * i};
+      t.action = 0.3;
+      t.reward = 0.1 * (i % 7);
+      agent.remember(std::move(t));
+    }
+    agent.update();  // sizes the scratch buffers
+    const long long before = g_allocations.load();
+    for (int i = 0; i < 20; ++i) agent.update();
+    EXPECT_EQ(g_allocations.load() - before, 0)
+        << "prioritized_replay=" << prioritized;
   }
-  agent.update();  // sizes the scratch buffers
-  const long long before = g_allocations.load();
-  for (int i = 0; i < 20; ++i) agent.update();
-  EXPECT_EQ(g_allocations.load() - before, 0);
 }
 
 TEST(Ddpg, LearnsContextualBandit) {

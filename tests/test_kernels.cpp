@@ -72,6 +72,8 @@ bool reports_equal(const RobustnessReport& a, const RobustnessReport& b) {
          a.fault_stats.weights_changed == b.fault_stats.weights_changed;
 }
 
+namespace rk = reram::kernels;
+
 // ---------------------------------------------------------------------------
 // Packed kernels vs retained scalar datapaths.
 
@@ -120,32 +122,45 @@ TEST(PackedKernels, MatchScalarAfterFaultBurnAndVariation) {
 }
 
 TEST(PackedKernels, BatchedReferenceMatchesPerColumn) {
+  // The integer batch runs one layer-wide GEMM over the packed weight
+  // quads; it must equal the per-column adder-tree MVM on single- and
+  // multi-crossbar grids (ragged row and column blocks included).
   common::Rng rng(42);
-  const KernelCase cases[] = {
-      {{72, 64}, 25, 6}, {{64, 64}, 64, 64}, {{130, 48}, 130, 31}};
+  struct FcCase {
+    CrossbarShape shape;
+    std::int64_t in, out;
+  };
+  const FcCase cases[] = {{{72, 64}, 25, 6},
+                          {{64, 64}, 64, 64},
+                          {{130, 48}, 130, 31},
+                          {{72, 64}, 200, 100}};
+  rk::KernelScratch scratch;
   for (const auto& c : cases) {
-    LogicalCrossbar xb(c.shape);
-    xb.program(random_weights(rng, c.rows * c.cols), c.rows, c.cols);
+    const nn::LayerSpec spec = nn::make_fc(c.in, c.out);
+    tensor::Tensor w({c.out, c.in});
+    w.fill_normal(rng, 0.0f, 0.5f);
+    reram::MappedLayer layer(spec, w, c.shape);
+    layer.prepare_gemm();
     const std::int64_t batch = 13;
     // Transposed input matrix: row i of the batch at cols_t[i*batch ..].
-    std::vector<std::uint8_t> cols_t(
-        static_cast<std::size_t>(c.rows * batch));
+    std::vector<std::uint8_t> cols_t(static_cast<std::size_t>(c.in * batch));
     for (auto& v : cols_t) {
       v = rng.uniform() < 0.3
               ? std::uint8_t{0}
               : static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
-    std::vector<std::int32_t> acc_t(static_cast<std::size_t>(c.cols * batch),
-                                    0);
-    xb.mvm_reference_batch_accum(cols_t.data(), batch, acc_t.data());
+    std::vector<std::int32_t> acc_t(static_cast<std::size_t>(c.out * batch),
+                                    -1);
+    layer.mvm_batch_into(cols_t.data(), batch, reram::DatapathMode::kInteger,
+                         acc_t, scratch);
     for (std::int64_t p = 0; p < batch; ++p) {
-      std::vector<std::uint8_t> column(static_cast<std::size_t>(c.rows));
-      for (std::int64_t i = 0; i < c.rows; ++i) {
+      std::vector<std::uint8_t> column(static_cast<std::size_t>(c.in));
+      for (std::int64_t i = 0; i < c.in; ++i) {
         column[static_cast<std::size_t>(i)] =
             cols_t[static_cast<std::size_t>(i * batch + p)];
       }
-      const auto expected = xb.mvm_reference(column);
-      for (std::int64_t j = 0; j < c.cols; ++j) {
+      const auto expected = layer.mvm(column, reram::DatapathMode::kInteger);
+      for (std::int64_t j = 0; j < c.out; ++j) {
         EXPECT_EQ(acc_t[static_cast<std::size_t>(j * batch + p)],
                   expected[static_cast<std::size_t>(j)])
             << "col " << j << " batch " << p;
@@ -159,8 +174,6 @@ TEST(PackedKernels, BatchedReferenceMatchesPerColumn) {
 // with the scalar oracle on randomized ragged shapes (tails that are not a
 // multiple of 64 rows exercise the masked/partial word paths). Variants the
 // host cannot run are skipped, not silently passed.
-
-namespace rk = reram::kernels;
 
 class KernelVariantTest : public testutil::KernelVariantFixture {};
 
@@ -253,6 +266,136 @@ TEST_P(KernelVariantTest, ForwardMatchesScalarReference) {
     ASSERT_EQ(a.numel(), b.numel());
     for (std::int64_t i = 0; i < a.numel(); ++i) {
       EXPECT_EQ(a[i], b[i]) << "mode " << static_cast<int>(mode);
+    }
+  }
+}
+
+/// Runs the dispatched int8 GEMM on a plain rows × cols weight matrix and
+/// rows × count input matrix (packing both into quads here) on top of
+/// `acc_t`, and checks it against a scalar oracle over the unpacked
+/// operands.
+void expect_gemm_matches_oracle(const std::vector<std::int8_t>& w,
+                                const std::vector<std::uint8_t>& x,
+                                std::int64_t rows, std::int64_t cols,
+                                std::int64_t count,
+                                std::vector<std::int32_t> acc_t) {
+  const std::int64_t quads = (rows + 3) / 4;
+  std::vector<std::int32_t> wq(static_cast<std::size_t>(quads * cols), 0);
+  std::vector<std::uint8_t> xq(static_cast<std::size_t>(quads * count * 4),
+                               0);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t j = 0; j < cols; ++j) {
+      auto& quad = wq[static_cast<std::size_t>((r / 4) * cols + j)];
+      quad = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(quad) |
+          static_cast<std::uint32_t>(static_cast<std::uint8_t>(
+              w[static_cast<std::size_t>(r * cols + j)]))
+              << (8 * (r % 4)));
+    }
+    for (std::int64_t p = 0; p < count; ++p) {
+      xq[static_cast<std::size_t>(((r / 4) * count + p) * 4 + r % 4)] =
+          x[static_cast<std::size_t>(r * count + p)];
+    }
+  }
+  std::vector<std::int32_t> want = acc_t;
+  for (std::int64_t j = 0; j < cols; ++j) {
+    for (std::int64_t p = 0; p < count; ++p) {
+      std::int64_t sum = 0;
+      for (std::int64_t r = 0; r < rows; ++r) {
+        sum += static_cast<std::int64_t>(
+                   w[static_cast<std::size_t>(r * cols + j)]) *
+               x[static_cast<std::size_t>(r * count + p)];
+      }
+      want[static_cast<std::size_t>(j * count + p)] +=
+          static_cast<std::int32_t>(sum);
+    }
+  }
+  rk::ops().int8_gemm(wq.data(), quads, cols, xq.data(), count, acc_t.data());
+  EXPECT_EQ(acc_t, want) << "rows=" << rows << " cols=" << cols
+                         << " count=" << count;
+}
+
+TEST_P(KernelVariantTest, Int8GemmMatchesScalarOnRaggedShapes) {
+  // Every sample count from 1 to 97 (all tail lengths of every variant's
+  // position vectors and register tiles), with rows % 4 != 0 and column
+  // counts off the 16/6/4-wide blocks, accumulating on nonzero contents.
+  common::Rng rng(0x9e33 ^ static_cast<std::uint64_t>(GetParam()));
+  for (std::int64_t count = 1; count <= 97; ++count) {
+    const auto rows = static_cast<std::int64_t>(rng.uniform_int(1, 150));
+    const auto cols = static_cast<std::int64_t>(rng.uniform_int(1, 45));
+    const std::vector<std::int8_t> w = random_weights(rng, rows * cols);
+    const std::vector<std::uint8_t> x = random_input(rng, rows * count);
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(cols * count));
+    for (auto& a : acc) {
+      a = static_cast<std::int32_t>(rng.uniform_int(-999, 999));
+    }
+    expect_gemm_matches_oracle(w, x, rows, cols, count, acc);
+  }
+  for (const std::int64_t rows : {1, 2, 3, 5, 7, 13, 66, 289}) {
+    for (const std::int64_t cols : {1, 5, 15, 17, 31, 33}) {
+      expect_gemm_matches_oracle(random_weights(rng, rows * cols),
+                                 random_input(rng, rows * 23), rows, cols, 23,
+                                 std::vector<std::int32_t>(
+                                     static_cast<std::size_t>(cols * 23), 0));
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, Int8GemmExtremeProductsAreExact) {
+  // −128·255 in every product: the largest-magnitude u8·s8 term, where a
+  // saturating int16 pair sum (vpmaddubsw) would clip. Mixed with +127·255
+  // columns so both signs reach their extremes.
+  for (const std::int64_t rows : {4, 9, 1001}) {
+    const std::int64_t cols = 19;
+    const std::int64_t count = 37;
+    std::vector<std::int8_t> w(static_cast<std::size_t>(rows * cols));
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = (i % 3 == 2) ? std::int8_t{127} : std::int8_t{-128};
+    }
+    const std::vector<std::uint8_t> x(static_cast<std::size_t>(rows * count),
+                                      255);
+    expect_gemm_matches_oracle(w, x, rows, cols, count,
+                               std::vector<std::int32_t>(
+                                   static_cast<std::size_t>(cols * count), 0));
+  }
+}
+
+TEST_P(KernelVariantTest, ConvGeometriesMatchScalarReference) {
+  // The direct transposed im2col against the scalar per-position oracle:
+  // stride 2, 1x1 and 5x5 kernels, padding wider than the kernel's reach
+  // on some rows, output planes that are not a multiple of the tile.
+  struct ConvCase {
+    std::int64_t in_c, out_c, k, stride, pad, hw;
+  };
+  const ConvCase cases[] = {{3, 16, 3, 1, 1, 11},  {16, 32, 3, 2, 1, 16},
+                            {8, 12, 1, 2, 0, 9},   {5, 7, 5, 1, 2, 13},
+                            {4, 6, 5, 2, 2, 10},   {6, 5, 1, 1, 0, 7},
+                            {2, 3, 3, 1, 0, 5}};
+  common::Rng rng(0xc0 ^ static_cast<std::uint64_t>(GetParam()));
+  for (const auto& c : cases) {
+    nn::NetworkSpec net;
+    net.name = "conv";
+    net.layers.push_back(
+        nn::make_conv(c.in_c, c.out_c, c.k, c.stride, c.pad, c.hw, c.hw));
+    const nn::Model model(net, rng);
+    const tensor::Tensor image = nn::synthetic_image(rng, c.in_c, c.hw, c.hw);
+    for (const CrossbarShape shape :
+         {CrossbarShape{72, 64}, CrossbarShape{32, 8}}) {
+      for (const auto mode :
+           {reram::DatapathMode::kInteger, reram::DatapathMode::kBitSerial}) {
+        const SimulatedModel fast(model, {shape}, mode);
+        const SimulatedModel scalar(model, {shape}, mode, {},
+                                    KernelPolicy::kScalarReference);
+        const tensor::Tensor a = fast.forward(image);
+        const tensor::Tensor b = scalar.forward(image);
+        ASSERT_EQ(a.numel(), b.numel());
+        for (std::int64_t i = 0; i < a.numel(); ++i) {
+          ASSERT_EQ(a[i], b[i])
+              << "k=" << c.k << " stride=" << c.stride << " pad=" << c.pad
+              << " shape=" << shape.rows << "x" << shape.cols << " mode "
+              << static_cast<int>(mode) << " at " << i;
+        }
+      }
     }
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -71,6 +72,46 @@ TEST(QuantizeActivations, RejectsNegatives) {
   Tensor t({2});
   t[0] = -0.1f;
   EXPECT_THROW(nn::quantize_activations(t, 8), std::invalid_argument);
+}
+
+TEST(QuantizeActivations, MatchesLibmRoundBitForBit) {
+  // The quantizer rounds with trunc-and-compare instead of std::round; it
+  // must agree with clamp(round(x / scale)) on every element, including
+  // exact .5 ties, values a hair either side of them, and every length
+  // tail of the 16-wide vector loop.
+  common::Rng rng(11);
+  for (const int bits : {2, 5, 8}) {
+    const float qmax = static_cast<float>((1 << bits) - 1);
+    for (const std::int64_t n : {1, 7, 15, 16, 17, 33, 250}) {
+      Tensor t({n});
+      t.fill_uniform(rng, 0.0f, 3.0f);
+      t[0] = 3.0f;  // pins vmax, so scale = 3 / qmax
+      const float scale = 3.0f / qmax;
+      for (std::int64_t i = 1; i < n; i += 3) {
+        const float k = static_cast<float>(rng.uniform_int(0, (1 << bits) - 2));
+        t[i] = (k + 0.5f) * scale;  // near-tie after the division
+        if (i + 1 < n) t[i + 1] = std::nextafter(t[i], 0.0f);
+      }
+      const auto q = nn::quantize_activations(t, bits);
+      ASSERT_EQ(q.scale, scale);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float want = std::clamp(std::round(t[i] / scale), 0.0f, qmax);
+        EXPECT_EQ(q.values[static_cast<std::size_t>(i)],
+                  static_cast<std::uint8_t>(want))
+            << "bits " << bits << " n " << n << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(QuantizeActivations, RejectsNaNAnywhere) {
+  for (const std::int64_t pos : {0, 5, 8, 19}) {
+    Tensor t({20});
+    t.fill(1.0f);
+    t[pos] = std::nanf("");
+    EXPECT_THROW(nn::quantize_activations(t, 8), std::invalid_argument)
+        << pos;
+  }
 }
 
 TEST(QuantizeActivations, MaxValueHitsFullScale) {
