@@ -16,6 +16,12 @@
 //     through forward_graph), plus the same forward split across row
 //     blocks / position tiles on a worker pool (bit-identical outputs,
 //     asserted);
+//   * fault burn-in on one 576x512 crossbar with LeNet-5 fc1's weights in
+//     its corner: FaultModel::apply at stuck rate 0 and > 0, the recording
+//     burn and its replay at every grid rate, per cell width, each in ns per
+//     consumed RNG draw against a bare xoshiro256** loop timed in the same
+//     process (the `burn_in` JSON section; `record_vs_ceiling` is the 1-bit
+//     recording's multiple of that ceiling);
 //   * the full fault_sweep Monte-Carlo workload — fault_sweep's three
 //     configurations over its 15-point grid (3 cell-bits × 5 stuck rates,
 //     σ=0.01, 5 trials × 12 samples), measured end-to-end through
@@ -45,6 +51,7 @@
 #include "reram/eval_engine.hpp"
 #include "reram/functional.hpp"
 #include "nn/graph.hpp"
+#include "nn/quantize.hpp"
 #include "reram/kernels/kernels.hpp"
 #include "tensor/ops.hpp"
 
@@ -105,6 +112,70 @@ bool reports_equal(const reram::RobustnessReport& a,
          a.fault_stats.stuck_at_one == b.fault_stats.stuck_at_one &&
          a.fault_stats.weights_changed == b.fault_stats.weights_changed;
 }
+
+/// Best-of-`reps` wall time of fn() in milliseconds.
+template <typename Fn>
+double best_ms(Fn&& fn, int reps) {
+  double best = 0.0;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = Clock::now();
+    fn();
+    const double ms = ms_since(t0);
+    best = i == 0 ? ms : std::min(best, ms);
+  }
+  return best;
+}
+
+/// The number of RNG draws one burn of `cells` under `faults` consumes: the
+/// per-cell stream of FaultModel::perturb_weight (a polar normal per
+/// nonzero level, two draws per attempt with the second deviate cached,
+/// then a stuck draw per plane when a stuck rate is set), replayed on the
+/// crossbar's own stream.
+std::int64_t burn_draws(const std::vector<std::int8_t>& cells,
+                        const reram::FaultConfig& faults,
+                        std::uint64_t crossbar_id) {
+  common::Rng rng = common::Rng(faults.seed).child(crossbar_id);
+  const int b = faults.cell_bits;
+  const unsigned mask = (1u << b) - 1u;
+  const bool stuck =
+      faults.stuck_at_zero_rate > 0.0 || faults.stuck_at_one_rate > 0.0;
+  bool pending = false;
+  std::int64_t draws = 0;
+  for (const std::int8_t w : cells) {
+    const auto offset = static_cast<unsigned>(static_cast<int>(w) + 128);
+    for (int p = 0; p < 8 / b; ++p) {
+      if (faults.program_sigma > 0.0 && ((offset >> (p * b)) & mask) != 0) {
+        if (pending) {
+          pending = false;
+        } else {
+          double s = 0.0;
+          do {
+            const double u = rng.uniform(-1.0, 1.0);
+            const double v = rng.uniform(-1.0, 1.0);
+            draws += 2;
+            s = u * u + v * v;
+          } while (s >= 1.0 || s == 0.0);
+          pending = true;
+        }
+      }
+      if (stuck) {
+        (void)rng.uniform_bits53();
+        ++draws;
+      }
+    }
+  }
+  return draws;
+}
+
+/// One burn-in row: a kernel at one cell width and stuck rate.
+struct BurnRow {
+  int cell_bits = 1;
+  std::string kernel;
+  double stuck_rate = 0.0;
+  std::int64_t draws = 0;
+  double ms = 0.0;
+  double ns_per_draw = 0.0;
+};
 
 struct McTiming {
   std::string config;
@@ -367,6 +438,113 @@ int main(int argc, char** argv) {
         [&] { fsink = fsink + fast_int.forward(image, 0, &fwd_pool)[0]; });
   }
 
+  // --- Fault burn-in against the RNG ceiling ----------------------------
+  // One 576x512 crossbar (the largest hybrid candidate, where burn-in
+  // dominates Monte-Carlo time) with LeNet-5 fc1's quantized 400x120 weights
+  // in its corner, at fault_sweep's sigma. Every kernel is timed per draw it
+  // consumes and set against a bare xoshiro256** loop timed here: the
+  // ceiling no burn can beat, since the draw order per crossbar is fixed.
+  // Replay rows divide by the draws of the burn they complete.
+  constexpr std::int64_t kBurnRows = 576, kBurnCols = 512;
+  constexpr std::uint64_t kBurnCrossbar = 7;
+  constexpr int kBurnReps = 15;
+  std::vector<std::int8_t> burn_cells(
+      static_cast<std::size_t>(kBurnRows * kBurnCols), 0);
+  {
+    const nn::QuantizedWeights fc1 = nn::quantize_weights(model.weight(2));
+    const std::int64_t out = fc1.shape[0], in = fc1.shape[1];
+    for (std::int64_t r = 0; r < in; ++r) {
+      for (std::int64_t c = 0; c < out; ++c) {
+        burn_cells[static_cast<std::size_t>(r * kBurnCols + c)] =
+            fc1.values[static_cast<std::size_t>(c * in + r)];
+      }
+    }
+  }
+  std::int64_t max_draws = 0;
+  std::vector<BurnRow> burn_rows;
+  std::vector<std::int8_t> burn_work;
+  for (const int cell_bits : kCellBits) {
+    const reram::FaultConfig zero_rate = point_config(0.0, cell_bits);
+    const reram::FaultConfig stuck = point_config(1e-3, cell_bits);
+    const reram::FaultModel zero_model(zero_rate), stuck_model(stuck);
+    const auto add_row = [&](const std::string& kernel, double rate,
+                             std::int64_t draws, double ms) {
+      burn_rows.push_back({cell_bits, kernel, rate, draws, ms,
+                           ms * 1e6 / static_cast<double>(draws)});
+      max_draws = std::max(max_draws, draws);
+    };
+    const double copy_ms = best_ms([&] { burn_work = burn_cells; }, kBurnReps);
+    const std::int64_t zero_draws =
+        burn_draws(burn_cells, zero_rate, kBurnCrossbar);
+    const std::int64_t stuck_draws =
+        burn_draws(burn_cells, stuck, kBurnCrossbar);
+    add_row("apply", 0.0, zero_draws, best_ms([&] {
+              burn_work = burn_cells;
+              zero_model.apply(burn_work, kBurnRows, kBurnCols, kBurnCols,
+                               kBurnCrossbar);
+            }, kBurnReps) - copy_ms);
+    add_row("apply", 1e-3, stuck_draws, best_ms([&] {
+              burn_work = burn_cells;
+              stuck_model.apply(burn_work, kBurnRows, kBurnCols, kBurnCols,
+                                kBurnCrossbar);
+            }, kBurnReps) - copy_ms);
+    reram::StuckRecord record;
+    add_row("record", 1e-3, stuck_draws, best_ms([&] {
+              burn_work = burn_cells;
+              stuck_model.apply_recording(burn_work, kBurnRows, kBurnCols,
+                                          kBurnCols, kBurnCrossbar, record);
+            }, kBurnReps) - copy_ms);
+    const std::vector<std::int8_t> post_variation = burn_work;
+    for (const double rate : kStuckRates) {
+      if (rate == 0.0) continue;
+      const reram::FaultConfig target = point_config(rate, cell_bits);
+      const reram::FaultModel target_model(target);
+      // Replay must reproduce the direct burn exactly (cells and stats).
+      std::vector<std::int8_t> direct = burn_cells;
+      const reram::FaultMapStats direct_stats = target_model.apply(
+          direct, kBurnRows, kBurnCols, kBurnCols, kBurnCrossbar);
+      burn_work = post_variation;
+      const reram::FaultMapStats delta =
+          target_model.replay_stuck(burn_work, record);
+      AUTOHET_CHECK(burn_work == direct &&
+                        delta.stuck_at_zero == direct_stats.stuck_at_zero &&
+                        delta.stuck_at_one == direct_stats.stuck_at_one,
+                    "replayed burn diverged from the direct burn");
+      const double replay_copy_ms =
+          best_ms([&] { burn_work = post_variation; }, kBurnReps);
+      add_row("replay", rate, stuck_draws, best_ms([&] {
+                burn_work = post_variation;
+                target_model.replay_stuck(burn_work, record);
+              }, kBurnReps) - replay_copy_ms);
+    }
+  }
+  // The ceiling: the same generator stepped bare over the largest draw
+  // count above.
+  volatile std::uint64_t draw_sink = 0;
+  const double ceiling_ms = best_ms([&] {
+    common::Rng rng = common::Rng(1).child(kBurnCrossbar);
+    std::uint64_t acc = 0;
+    for (std::int64_t i = 0; i < max_draws; ++i) acc += rng.uniform_bits53();
+    draw_sink = draw_sink + acc;
+  }, kBurnReps);
+  const double ceiling_ns = ceiling_ms * 1e6 / static_cast<double>(max_draws);
+  double record_vs_ceiling = 0.0;
+  for (const BurnRow& r : burn_rows) {
+    if (r.cell_bits == 1 && r.kernel == "record") {
+      record_vs_ceiling = r.ns_per_draw / ceiling_ns;
+    }
+  }
+  std::cout << "\nFault burn-in, 576x512 crossbar (fc1 corner), ceiling "
+            << report::format_fixed(ceiling_ns, 3) << " ns/draw:\n";
+  for (const BurnRow& r : burn_rows) {
+    std::cout << "  " << r.cell_bits << "-bit " << r.kernel << " @ "
+              << r.stuck_rate << ": " << report::format_fixed(r.ms, 3)
+              << " ms, " << report::format_fixed(r.ns_per_draw, 3)
+              << " ns/draw (" << report::format_fixed(r.ns_per_draw /
+                                                          ceiling_ns, 2)
+              << "x ceiling)\n";
+  }
+
   // --- Monte-Carlo wall time on the fault_sweep workload ----------------
   // fault_sweep's three configurations over its full 15-point grid,
   // measured end-to-end through EvaluationEngine::evaluate_robustness. A
@@ -612,7 +790,24 @@ int main(int argc, char** argv) {
          << ", \"speedup\": " << f.fast_per_s / f.scalar_per_s << "}";
     first_row = false;
   }
-  json << "\n  ],\n  \"row_block_split\": {\n"
+  json << "\n  ],\n  \"burn_in\": {\n"
+       << "    \"crossbar\": \"576x512\",\n"
+       << "    \"used\": \"400x120\",\n"
+       << "    \"program_sigma\": " << kProgramSigma << ",\n"
+       << "    \"ceiling_ns_per_draw\": " << ceiling_ns << ",\n"
+       << "    \"record_vs_ceiling\": " << record_vs_ceiling << ",\n"
+       << "    \"rows\": [";
+  first_row = true;
+  for (const BurnRow& r : burn_rows) {
+    json << (first_row ? "\n" : ",\n") << "      {\"cell_bits\": "
+         << r.cell_bits << ", \"kernel\": \"" << r.kernel
+         << "\", \"stuck_rate\": " << r.stuck_rate
+         << ", \"draws\": " << r.draws << ", \"ms\": " << r.ms
+         << ", \"ns_per_draw\": " << r.ns_per_draw
+         << ", \"vs_ceiling\": " << r.ns_per_draw / ceiling_ns << "}";
+    first_row = false;
+  }
+  json << "\n    ]\n  },\n  \"row_block_split\": {\n"
        << "    \"pool_threads\": " << hw_threads << ",\n"
        << "    \"serial_images_per_s\": " << fwd_serial_per_s << ",\n"
        << "    \"pool_images_per_s\": " << fwd_pool_per_s << ",\n"

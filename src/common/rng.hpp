@@ -8,6 +8,7 @@
 // It is small, fast, and has no global state.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -64,6 +65,28 @@ class Rng {
   /// instead of materializing the double, while consuming the stream
   /// identically to uniform().
   std::uint64_t uniform_bits53() noexcept { return (*this)() >> 11; }
+
+  /// Writes the next n uniform_bits53() draws to out[0, n): the same stream
+  /// as n single calls, with the state held in registers across the loop (a
+  /// store through `out` cannot alias it). The normal() cache is untouched.
+  void fill_bits53(std::uint64_t* out, std::size_t n) noexcept {
+    std::uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2],
+                  s3 = state_[3];
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = (rotl(s1 * 5, 7) * 9) >> 11;
+      const std::uint64_t t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = rotl(s3, 45);
+    }
+    state_[0] = s0;
+    state_[1] = s1;
+    state_[2] = s2;
+    state_[3] = s3;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept {

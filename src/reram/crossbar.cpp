@@ -317,7 +317,7 @@ FaultMapStats LogicalCrossbar::apply_faults(const FaultModel& model,
 
 FaultMapStats LogicalCrossbar::apply_faults_recording(
     const FaultModel& model, std::uint64_t crossbar_id,
-    std::vector<StuckCandidate>& out) {
+    StuckRecord& out) {
   const FaultMapStats stats = model.apply_recording(
       cells_, shape_.rows, shape_.cols, shape_.cols, crossbar_id, out);
   if (!packed_.empty()) repack();
@@ -325,9 +325,8 @@ FaultMapStats LogicalCrossbar::apply_faults_recording(
 }
 
 FaultMapStats LogicalCrossbar::replay_stuck_faults(
-    const FaultModel& model, std::span<const StuckCandidate> hits) {
-  const FaultMapStats delta =
-      model.replay_stuck(cells_, shape_.cols, shape_.cols, hits);
+    const FaultModel& model, const StuckRecord& record) {
+  const FaultMapStats delta = model.replay_stuck(cells_, record);
   if (!packed_.empty() && (delta.stuck_at_zero || delta.stuck_at_one)) {
     repack();
   }

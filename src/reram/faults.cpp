@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -236,7 +237,7 @@ FaultMapStats FaultModel::apply(std::span<std::int8_t> cells,
   AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
                 "invalid fault-map geometry");
   common::Rng rng = common::Rng(config_.seed).child(crossbar_id);
-  stats = apply_fast(cells, rows, cols, row_stride, rng);
+  stats = apply_fast(cells, rows, cols, row_stride, rng, nullptr);
   OBS_COUNTER_ADD("autohet_fault_cells_total",
                   static_cast<std::uint64_t>(stats.physical_cells));
   OBS_COUNTER_ADD("autohet_fault_stuck_cells_total",
@@ -271,7 +272,24 @@ FaultMapStats FaultModel::apply_reference(std::span<std::int8_t> cells,
 FaultMapStats FaultModel::apply_fast(std::span<std::int8_t> cells,
                                      std::int64_t rows, std::int64_t cols,
                                      std::int64_t row_stride,
-                                     common::Rng& rng) const {
+                                     common::Rng& rng,
+                                     StuckRecord* rec) const {
+  if (rec != nullptr) {
+    switch (planes_) {
+      case 8:
+        return apply_fast_impl<8, true>(cells, rows, cols, row_stride, rng,
+                                        rec);
+      case 4:
+        return apply_fast_impl<4, true>(cells, rows, cols, row_stride, rng,
+                                        rec);
+      case 2:
+        return apply_fast_impl<2, true>(cells, rows, cols, row_stride, rng,
+                                        rec);
+      default:
+        return apply_fast_impl<1, true>(cells, rows, cols, row_stride, rng,
+                                        rec);
+    }
+  }
   switch (planes_) {
     case 8:
       return apply_fast_impl<8, false>(cells, rows, cols, row_stride, rng,
@@ -291,125 +309,408 @@ FaultMapStats FaultModel::apply_fast(std::span<std::int8_t> cells,
 FaultMapStats FaultModel::apply_recording(
     std::span<std::int8_t> cells, std::int64_t rows, std::int64_t cols,
     std::int64_t row_stride, std::uint64_t crossbar_id,
-    std::vector<StuckCandidate>& out) const {
+    StuckRecord& out) const {
   AUTOHET_CHECK(record_eligible(),
                 "this fault config cannot be recorded (drift, zero stuck "
                 "rates, or rates beyond the recording cap)");
   AUTOHET_CHECK(rows >= 0 && cols >= 0 && row_stride >= cols,
                 "invalid fault-map geometry");
-  AUTOHET_CHECK(rows * cols * planes_ <= 0xffffffffll,
-                "crossbar too large for 32-bit plane indices");
   common::Rng rng = common::Rng(config_.seed).child(crossbar_id);
-  switch (planes_) {
-    case 8:
-      return apply_fast_impl<8, true>(cells, rows, cols, row_stride, rng,
-                                      &out);
-    case 4:
-      return apply_fast_impl<4, true>(cells, rows, cols, row_stride, rng,
-                                      &out);
-    case 2:
-      return apply_fast_impl<2, true>(cells, rows, cols, row_stride, rng,
-                                      &out);
-    default:
-      return apply_fast_impl<1, true>(cells, rows, cols, row_stride, rng,
-                                      &out);
-  }
+  return apply_fast(cells, rows, cols, row_stride, rng, &out);
 }
 
-FaultMapStats FaultModel::replay_stuck(
-    std::span<std::int8_t> cells, std::int64_t cols, std::int64_t row_stride,
-    std::span<const StuckCandidate> hits) const {
+FaultMapStats FaultModel::replay_stuck(std::span<std::int8_t> cells,
+                                       const StuckRecord& record) const {
   FaultMapStats delta;
+  const std::uint64_t sum_thr = stuck_sum_thr53_;
+  if (sum_thr == 0 || record.empty()) return delta;
+  AUTOHET_CHECK(sum_thr <= kRecordCap53,
+                "stuck rates beyond the recording cap cannot be replayed");
+  AUTOHET_CHECK(cells.size() >= record.extent_,
+                "replay target is smaller than the recorded array");
+  const std::uint64_t zero_thr = stuck_zero_thr53_;
   const int b = config_.cell_bits;
-  const auto planes = static_cast<std::uint32_t>(planes_);
-  std::size_t i = 0;
-  while (i < hits.size()) {
-    // Candidates are in stream order, so same-cell hits are adjacent: patch
-    // the byte once per touched cell and correct weights_changed exactly
-    // (the recording counted post-variation vs original).
-    const std::uint32_t cell = hits[i].plane / planes;
-    const std::int8_t original = hits[i].original;
-    const std::int64_t r = cell / cols;
-    const std::int64_t c = cell % cols;
-    std::int8_t& byte = cells[static_cast<std::size_t>(r * row_stride + c)];
-    const std::int8_t post_var = byte;
-    auto offset = static_cast<unsigned>(static_cast<int>(byte) + 128);
-    bool touched = false;
-    for (; i < hits.size() && hits[i].plane / planes == cell; ++i) {
-      const std::uint64_t k = hits[i].k;
-      if (k >= stuck_sum_thr53_) continue;
-      const auto p = static_cast<int>(hits[i].plane % planes);
-      unsigned forced;
-      if (k < stuck_zero_thr53_) {
-        forced = 0;
-        ++delta.stuck_at_zero;
-      } else {
-        forced = level_mask_;
-        ++delta.stuck_at_one;
-      }
-      offset = (offset & ~(level_mask_ << (p * b))) | (forced << (p * b));
-      touched = true;
+  const unsigned mask = level_mask_;
+  // Buckets 0..last hold every draw below sum_thr; only the last one can
+  // also hold draws at or above it.
+  const auto last =
+      static_cast<int>((sum_thr - 1) >> StuckRecord::kBucketShift);
+  const std::size_t end = record.start_[static_cast<std::size_t>(last) + 1];
+  const std::uint64_t* keys = record.key_.get();
+  const std::uint32_t* pos = record.pos_.get();
+  std::int8_t* bytes = cells.data();
+  for (std::size_t i = 0; i < end; ++i) {
+    const std::uint64_t k = keys[i] & (kRecordCap53 - 1);
+    if (k >= sum_thr) continue;
+    unsigned forced;
+    if (k < zero_thr) {
+      forced = 0;
+      ++delta.stuck_at_zero;
+    } else {
+      forced = mask;
+      ++delta.stuck_at_one;
     }
-    if (touched) {
-      const auto final_w =
-          static_cast<std::int8_t>(static_cast<int>(offset) - 128);
-      byte = final_w;
-      delta.weights_changed +=
-          static_cast<int>(final_w != original) -
-          static_cast<int>(post_var != original);
-    }
+    // Planes of one cell may sit in different buckets, so each hit patches
+    // the byte on its own; the per-hit weights_changed terms telescope to
+    // the exact (final != original) − (post-variation != original).
+    const auto original = static_cast<std::int8_t>(
+        static_cast<std::uint8_t>(keys[i] >> StuckRecord::kCapBits));
+    const int shift = static_cast<int>(pos[i] & 7u) * b;
+    std::int8_t& byte = bytes[pos[i] >> 3];
+    const std::int8_t before = byte;
+    const auto offset = static_cast<unsigned>(static_cast<int>(before) + 128);
+    const auto after = static_cast<std::int8_t>(
+        static_cast<int>((offset & ~(mask << shift)) | (forced << shift)) -
+        128);
+    byte = after;
+    delta.weights_changed += static_cast<int>(after != original) -
+                             static_cast<int>(before != original);
   }
   return delta;
+}
+
+namespace {
+
+/// Draws generated per refill of the burn kernel's stream buffer (8 KiB,
+/// L1-resident alongside the row being burned).
+constexpr std::size_t kDrawBlock = 1024;
+
+/// Draws past the cursor a burn may keep unread across a refill: one cell's
+/// stuck draws and polar attempts (a nonzero cell reads them ahead).
+/// Exceeding it takes over 50 polar rejections within one cell (each has
+/// p ≈ 0.215).
+constexpr std::ptrdiff_t kLookahead = 128;
+
+[[noreturn, gnu::cold, gnu::noinline]] void lookahead_overflow() {
+  common::fail("fault burn-in: polar rejection run exceeds the lookahead");
+}
+
+/// Refills the burn kernel's stream buffer: keeps the unread tail
+/// [d, end) at the front and appends the next kDrawBlock draws of the
+/// crossbar's stream. The cursor restarts at `buf`; returns the new end.
+/// Generating past the last draw a burn consumes is harmless: the crossbar's
+/// generator is discarded when its burn ends. Inlined without library calls,
+/// so the burn loops keep their polar state in registers across it.
+[[gnu::always_inline]] inline const std::uint64_t* refill_draws(
+    common::Rng& rng, std::uint64_t* buf, const std::uint64_t* d,
+    const std::uint64_t* end) {
+  const auto tail = static_cast<std::size_t>(end - d);
+  for (std::size_t i = 0; i < tail; ++i) buf[i] = d[i];
+  rng.fill_bits53(buf + tail, kDrawBlock);
+  return buf + tail + kDrawBlock;
+}
+
+/// First column at or after `c` in [c, cols) holding a nonzero weight.
+std::int64_t zero_run_end(const std::int8_t* row, std::int64_t c,
+                          std::int64_t cols) {
+  for (; c + 8 <= cols; c += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, row + c, sizeof word);
+    if (word != 0) break;
+  }
+  while (c < cols && row[c] == 0) ++c;
+  return c;
+}
+
+/// uniform(-1, 1) = -1 + 2·(k·2⁻⁵³) for the raw draw k. The doubling and the
+/// subtraction are both exact (k·2⁻⁵² and k·2⁻⁵² − 1 each fit in 53
+/// significant bits since |k − 2⁵²| ≤ 2⁵²), so one convert and one multiply
+/// give Rng::normal's operand bit for bit.
+inline double polar_unit(std::uint64_t k) {
+  return static_cast<double>(static_cast<std::int64_t>(k) -
+                             (std::int64_t{1} << 52)) *
+         0x1.0p-52;
+}
+
+/// The rounded level L·exp(σ·N) of a polar normal N = uv·sqrt(−2 ln s / s),
+/// computed exactly as perturb_weight does. Burns call it only when
+/// s ≤ s_safe[L], i.e. when the level might move.
+unsigned requantize_level(unsigned level, double s, double uv, double sigma,
+                          unsigned mask) {
+  const double m = std::sqrt(-2.0 * std::log(s) / s);
+  const double noisy = static_cast<double>(level) * std::exp(sigma * (uv * m));
+  return static_cast<unsigned>(
+      std::clamp(std::lround(noisy), 0l, static_cast<long>(mask)));
+}
+
+/// Bit 0 of every b-bit level group in a word of offset-binary bytes.
+constexpr std::uint64_t group_lsb(int bits) {
+  return bits == 1   ? ~std::uint64_t{0}
+         : bits == 2 ? 0x5555555555555555ULL
+         : bits == 4 ? 0x1111111111111111ULL
+                     : 0x0101010101010101ULL;
+}
+
+/// Number of nonzero b-bit levels across eight int8 weights packed in a
+/// word (offset-binary storage: v = w + 128 = w ^ 0x80).
+template <int kBits>
+int nonzero_levels8(std::uint64_t word) {
+  const std::uint64_t off = word ^ 0x8080808080808080ULL;
+  std::uint64_t any = off;
+  for (int sh = 1; sh < kBits; ++sh) any |= off >> sh;
+  return std::popcount(any & group_lsb(kBits));
+}
+
+/// Mask of the planes holding a nonzero level of one weight's offset.
+template <int kPlanes>
+unsigned nonzero_planes(unsigned offset) {
+  constexpr int b = 8 / kPlanes;
+  constexpr unsigned mask = (1u << b) - 1u;
+  unsigned planes = 0;
+  for (int p = 0; p < kPlanes; ++p) {
+    planes |= ((offset >> (p * b)) & mask) ? 1u << p : 0u;
+  }
+  return planes;
+}
+
+/// Columns per count chunk of the variation-only burn.
+constexpr std::int64_t kCountChunk = 64;
+
+/// Recording burns stage candidates per row segment of at most
+/// kSegmentCols columns, packed one word per stuck draw: the draw in bits
+/// 0..48, the plane in 49..51, the segment column in 52..63.
+constexpr int kPlaneShift = StuckRecord::kCapBits;
+constexpr int kColShift = kPlaneShift + 3;
+constexpr std::int64_t kSegmentCols = std::int64_t{1} << (64 - kColShift);
+
+/// Per-thread staging for a recording burn.
+struct RecordScratch {
+  std::vector<std::uint64_t> packed;  ///< one segment's packed draws
+  std::vector<std::int8_t> originals;  ///< the segment's weights pre-burn
+  std::vector<std::uint64_t> key;     ///< unpacked, stream order; grows only
+  std::vector<std::uint32_t> pos;
+  std::size_t staged = 0;             ///< entries of key/pos in use
+};
+
+thread_local RecordScratch t_record_scratch;
+
+}  // namespace
+
+template <int kPlanes>
+void FaultModel::burn_variation_only(std::span<std::int8_t> cells,
+                                     std::int64_t rows, std::int64_t cols,
+                                     std::int64_t row_stride,
+                                     const double* safe, common::Rng& rng,
+                                     std::uint64_t* buf,
+                                     FaultMapStats& stats) const {
+  constexpr int b = 8 / kPlanes;
+  const unsigned mask = level_mask_;
+  const double sigma = config_.program_sigma;
+  // Pass 1: normals per chunk of kCountChunk columns, as prefix sums.
+  const std::int64_t chunks = (cols + kCountChunk - 1) / kCountChunk;
+  std::vector<std::int64_t> prefix(static_cast<std::size_t>(rows * chunks) +
+                                   1);
+  std::int64_t total = 0;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int8_t* row = cells.data() + r * row_stride;
+    for (std::int64_t ch = 0; ch < chunks; ++ch) {
+      const std::int64_t c1 = std::min(cols, (ch + 1) * kCountChunk);
+      std::int64_t c = ch * kCountChunk;
+      for (; c + 8 <= c1; c += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, row + c, sizeof word);
+        total += nonzero_levels8<b>(word);
+      }
+      for (; c < c1; ++c) {
+        total += std::popcount(nonzero_planes<kPlanes>(
+            static_cast<unsigned>(static_cast<int>(row[c]) + 128)));
+      }
+      prefix[static_cast<std::size_t>(r * chunks + ch) + 1] = total;
+    }
+  }
+  // Pass 2: the pair stream. A pair whose s could move some level (s ≤ the
+  // largest safety bound) is kept for pass 3; acceptance is counted, not
+  // branched on.
+  double safe_max = -1.0;
+  for (unsigned level = 1; level <= mask; ++level) {
+    safe_max = std::max(safe_max, safe[level]);
+  }
+  struct Flagged {
+    std::int64_t pair;
+    double s, u, v;
+  };
+  std::vector<Flagged> flagged;
+  const std::uint64_t* d = buf;
+  const std::uint64_t* d_end = buf;
+  const std::int64_t pairs = (total + 1) / 2;
+  std::int64_t got = 0;
+  while (got < pairs) {
+    if (d_end - d < 2) {
+      d_end = refill_draws(rng, buf, d, d_end);
+      d = buf;
+    }
+    // Runs over the buffered attempts with no call inside, flagging into a
+    // small batch flushed below.
+    constexpr int kBatch = 32;
+    Flagged batch[kBatch];
+    int nf = 0;
+    for (; got < pairs && d_end - d >= 2 && nf < kBatch; d += 2) {
+      const double u = polar_unit(d[0]), v = polar_unit(d[1]);
+      const double s = u * u + v * v;
+      if (s <= safe_max && s != 0.0) [[unlikely]] {
+        batch[nf++] = {got, s, u, v};
+      }
+      got += (s < 1.0) & (s != 0.0);
+    }
+    flagged.insert(flagged.end(), batch, batch + nf);
+  }
+  // Pass 3: place each flagged normal (normal n is deviate n % 2 of pair
+  // n / 2) and requantize its level where s falls under that level's bound.
+  // Changes are applied once every normal is placed, so placement reads the
+  // programmed weights.
+  struct Change {
+    std::size_t cell;
+    int plane;
+    unsigned level;
+  };
+  std::vector<Change> changes;
+  std::size_t chunk = 0;
+  for (const Flagged& f : flagged) {
+    for (int half = 0; half < 2; ++half) {
+      const std::int64_t n = 2 * f.pair + half;
+      if (n >= total) break;
+      while (prefix[chunk + 1] <= n) ++chunk;
+      const auto r = static_cast<std::int64_t>(chunk) / chunks;
+      std::int64_t c = static_cast<std::int64_t>(chunk) % chunks * kCountChunk;
+      std::int64_t seen = prefix[chunk];
+      const std::int8_t* row = cells.data() + r * row_stride;
+      for (;; ++c) {
+        const auto offset =
+            static_cast<unsigned>(static_cast<int>(row[c]) + 128);
+        unsigned planes = nonzero_planes<kPlanes>(offset);
+        const int count = std::popcount(planes);
+        if (seen + count <= n) {
+          seen += count;
+          continue;
+        }
+        for (; seen < n; ++seen) planes &= planes - 1;
+        const int p = std::countr_zero(planes);
+        const unsigned level = (offset >> (p * b)) & mask;
+        if (f.s <= safe[level]) {
+          const unsigned q = requantize_level(
+              level, f.s, half == 0 ? f.u : f.v, sigma, mask);
+          if (q != level) {
+            changes.push_back(
+                {static_cast<std::size_t>(r * row_stride + c), p, q});
+          }
+        }
+        break;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < changes.size();) {
+    std::int8_t& byte = cells[changes[i].cell];
+    auto offset = static_cast<unsigned>(static_cast<int>(byte) + 128);
+    const std::size_t cell = changes[i].cell;
+    for (; i < changes.size() && changes[i].cell == cell; ++i) {
+      const int shift = changes[i].plane * b;
+      offset = (offset & ~(mask << shift)) | (changes[i].level << shift);
+    }
+    const auto perturbed =
+        static_cast<std::int8_t>(static_cast<int>(offset) - 128);
+    if (perturbed != byte) ++stats.weights_changed;
+    byte = perturbed;
+  }
 }
 
 template <int kPlanes, bool kRecord>
 FaultMapStats FaultModel::apply_fast_impl(
     std::span<std::int8_t> cells, std::int64_t rows, std::int64_t cols,
-    std::int64_t row_stride, common::Rng& rng,
-    std::vector<StuckCandidate>* rec) const {
+    std::int64_t row_stride, common::Rng& rng, StuckRecord* rec) const {
   // Burn-in dominates Monte-Carlo robustness wall time (it touches every
-  // physical cell of every trial fabric), so this kernel strips the per-cell
-  // cost to raw RNG stream advancement wherever the result provably cannot
-  // change. It replicates perturb_weight's stream consumption draw for draw:
-  //   * the lognormal variation draws one polar-method normal per nonzero
-  //     level — here the rejection loop runs identically, but the sqrt/log/
-  //     exp/lround are skipped whenever s > level_s_safe_[L] proves the
-  //     rounded level is unchanged (the overwhelmingly common case at
-  //     realistic σ). The polar pair cache lives in locals: legal because
-  //     this rng is crossbar-local and discarded when apply() returns.
-  //   * the stuck-at uniform compares raw 53-bit draws against precomputed
-  //     integer thresholds instead of materializing doubles.
-  const int b = 8 / kPlanes;
+  // physical cell of every trial fabric), so this kernel brings the
+  // per-cell cost close to the RNG stream's own. It replicates
+  // perturb_weight's stream consumption draw for draw:
+  //   * draws come from a buffer refilled in blocks (refill_draws): the
+  //     generator runs as a tight loop with its state in registers, and the
+  //     consumer reads plain memory a cell at a time;
+  //   * runs of zero weights — most of a sparsely used physical array — are
+  //     found a word at a time. A zero cell's draws are fixed: its lower
+  //     planes' stuck draws (one OR over the run tests them against the
+  //     threshold; a recording writes them all and keeps those under the
+  //     cap by branch-free compaction), the top plane's normal and its stuck
+  //     draw. Bytes are written only when a draw moves them;
+  //   * a nonzero cell walks its normals a pair at a time and then reads its
+  //     stuck draws in one fixed-length pass (burn_cell);
+  //   * the lognormal variation skips the sqrt/log/exp/lround whenever
+  //     s > s_safe[L] proves the rounded level unchanged — the
+  //     overwhelmingly common case at realistic σ. The polar pair cache
+  //     lives in locals: legal because this rng is crossbar-local and
+  //     discarded when the burn returns;
+  //   * with no stuck draws at all the stream is polar attempts only, burned
+  //     in three straight passes (burn_variation_only).
+  constexpr int b = 8 / kPlanes;
   constexpr int planes = kPlanes;
+  // Draws a cell step may read without a bounds check: a zero cell's stuck
+  // draws plus one polar pair (retries and nonzero cells check their own).
+  constexpr std::ptrdiff_t kWindow = kPlanes + 2;
   const unsigned mask = level_mask_;
   const double sigma = config_.program_sigma;
   const bool variation = sigma > 0.0;
   const bool stuck =
       config_.stuck_at_zero_rate > 0.0 || config_.stuck_at_one_rate > 0.0;
+  const std::uint64_t zero_thr = stuck_zero_thr53_;
+  const std::uint64_t sum_thr = stuck_sum_thr53_;
+  // Per-level safety bound with level 0 (and every level when there is no
+  // variation) at −1: s ≥ 0, so `s <= safe[L]` is the whole requantize test.
+  double safe[256];
+  for (unsigned level = 0; level <= mask; ++level) {
+    safe[level] = variation && level > 0 ? level_s_safe_[level] : -1.0;
+  }
   // A zero weight encodes as offset 128 = top_level in the top plane alone
   // (for every cell_bits dividing 8), so its draw pattern is fixed.
-  const unsigned top_level = 1u << (b - 1);
-  const int top_shift = (planes - 1) * b;
-  const double s_safe_top = variation ? level_s_safe_[top_level] : 1.0;
+  constexpr unsigned top_level = 1u << (b - 1);
+  constexpr int top_shift = (planes - 1) * b;
+  const double safe_top = safe[top_level];
   FaultMapStats stats;
   stats.physical_cells = rows * cols * planes;
+
+  std::uint64_t buf[kDrawBlock + kLookahead];
+  const std::uint64_t* d = buf;
+  const std::uint64_t* d_end = buf;
+  const auto ensure_window = [&]() {
+    if (d_end - d < kWindow) [[unlikely]] {
+      d_end = refill_draws(rng, buf, d, d_end);
+      d = buf;
+    }
+  };
+
+  // Recording sink (see kSegmentCols).
+  RecordScratch& scratch = t_record_scratch;
+  std::uint64_t* seg = nullptr;
+  std::size_t rn = 0;
+  if constexpr (kRecord) {
+    AUTOHET_CHECK(rows == 0 || (rows - 1) * row_stride + cols <=
+                                   (std::int64_t{1} << 29),
+                  "crossbar too large for 32-bit candidate positions");
+    const std::int64_t seg_cols = std::min(cols, kSegmentCols);
+    // Every stuck draw of a segment writes one slot (+1 for the last,
+    // uncounted write).
+    scratch.packed.resize(static_cast<std::size_t>(seg_cols * planes) + 1);
+    scratch.originals.resize(static_cast<std::size_t>(seg_cols));
+    seg = scratch.packed.data();
+    scratch.staged = 0;
+  }
+  const auto record_draw = [&](std::uint64_t k, std::uint64_t tag) {
+    seg[rn] = k | tag;
+    rn += k < kRecordCap53;
+  };
+
   // Polar pair cache (mirrors Rng::normal's cached second deviate, with the
   // value deferred: only s and the pair are kept until someone needs it).
   bool has_pending = false;
   double pu = 0.0, pv = 0.0, ps = 0.0;
-  // Recording locals: flat plane-index base and original weight of the cell
-  // currently being processed (unused when !kRecord).
-  std::uint64_t rec_base = 0;
-  std::int8_t rec_orig = 0;
-  // uniform(-1, 1) = -1 + 2·(k·2⁻⁵³) with k = uniform_bits53(). The doubling
-  // and the subtraction are both exact (k·2⁻⁵² and k·2⁻⁵² − 1 each fit in 53
-  // significant bits since |k − 2⁵²| ≤ 2⁵²), so the single convert+multiply
-  // below is bit-identical with a shorter dependency chain in the rejection
-  // loop.
-  const auto unit_draw = [&rng]() {
-    return static_cast<double>(static_cast<std::int64_t>(rng.uniform_bits53()) -
-                               (std::int64_t{1} << 52)) *
-           0x1.0p-52;
+  // One accepted polar pair into (pu, pv, ps) by the plain rejection loop.
+  // Needs two readable draws on entry; restores the window before retries.
+  const auto polar_pair = [&]() {
+    for (;;) {
+      pu = polar_unit(d[0]);
+      pv = polar_unit(d[1]);
+      d += 2;
+      ps = pu * pu + pv * pv;
+      if (ps < 1.0 && ps != 0.0) return;
+      ensure_window();
+    }
   };
   const auto next_normal_su = [&](double& s, double& uv) {
     if (has_pending) {
@@ -417,11 +718,7 @@ FaultMapStats FaultModel::apply_fast_impl(
       s = ps;
       uv = pv;  // second deviate of the pair, as Rng::normal caches
     } else {
-      do {
-        pu = unit_draw();
-        pv = unit_draw();
-        ps = pu * pu + pv * pv;
-      } while (ps >= 1.0 || ps == 0.0);
+      polar_pair();
       has_pending = true;
       s = ps;
       uv = pu;
@@ -429,155 +726,278 @@ FaultMapStats FaultModel::apply_fast_impl(
   };
   // Rare: the deviate is large enough to possibly move the level.
   const auto requantize = [&](unsigned level, double s, double uv) {
-    const double m = std::sqrt(-2.0 * std::log(s) / s);
-    const double noisy =
-        static_cast<double>(level) * std::exp(sigma * (uv * m));
-    return static_cast<unsigned>(
-        std::clamp(std::lround(noisy), 0l, static_cast<long>(mask)));
+    return requantize_level(level, s, uv, sigma, mask);
   };
-  const auto stuck_override = [&](unsigned& quantized, int p) {
-    const std::uint64_t k = rng.uniform_bits53();
+  // One stuck draw for the plane carrying `level`: recorded under `tag`, or
+  // applied to `level`.
+  const auto stuck_draw = [&](unsigned& level, std::uint64_t tag) {
+    const std::uint64_t k = *d++;
     if constexpr (kRecord) {
-      (void)quantized;
-      if (k < kRecordCap53) [[unlikely]] {
-        rec->push_back(
-            {k,
-             static_cast<std::uint32_t>(rec_base +
-                                        static_cast<std::uint64_t>(p)),
-             rec_orig});
-      }
+      (void)level;
+      record_draw(k, tag);
     } else {
-      (void)p;
-      if (k < stuck_sum_thr53_) {
-        if (k < stuck_zero_thr53_) {
-          quantized = 0;
+      (void)tag;
+      if (k < sum_thr) [[unlikely]] {
+        if (k < zero_thr) {
+          level = 0;
           ++stats.stuck_at_zero;
         } else {
-          quantized = mask;
+          level = mask;
           ++stats.stuck_at_one;
         }
       }
     }
   };
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::int8_t* row = cells.data() + r * row_stride;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      const std::int8_t weight = row[c];
-      if (weight == 0) {
-        // Zero weight — the vast majority of a sparsely used physical array
-        // (stuck-at maps cover every cell, used or not). Its plane pattern
-        // is known up front, so the per-plane `level > 0` test that costs
-        // the generic path a mispredict per plane disappears: the lower
-        // planes collapse to a straight run of stuck draws and only the top
-        // plane draws variation. Stream consumption is identical.
-        unsigned out = 0;
-        if constexpr (kRecord) {
-          rec_base =
-              static_cast<std::uint64_t>(r * cols + c) * planes;
-          rec_orig = 0;
-        }
-        if (stuck) {
-          for (int p = 0; p < planes - 1; ++p) {
-            const std::uint64_t k = rng.uniform_bits53();
-            if constexpr (kRecord) {
-              if (k < kRecordCap53) [[unlikely]] {
-                rec->push_back(
-                    {k,
-                     static_cast<std::uint32_t>(
-                         rec_base + static_cast<std::uint64_t>(p)),
-                     rec_orig});
-              }
-            } else if (k < stuck_sum_thr53_) [[unlikely]] {
-              if (k < stuck_zero_thr53_) {
-                ++stats.stuck_at_zero;  // level was already 0
-              } else {
-                out |= mask << (p * b);
-                ++stats.stuck_at_one;
-              }
-            }
-          }
-        }
-        unsigned quantized = top_level;
-        if (variation) {
-          double s, uv;
-          next_normal_su(s, uv);
-          if (s <= s_safe_top) [[unlikely]] {
-            quantized = requantize(top_level, s, uv);
-          }
-        }
-        if (stuck) stuck_override(quantized, planes - 1);
-        out |= (quantized & mask) << top_shift;
-        const auto perturbed =
-            static_cast<std::int8_t>(static_cast<int>(out) - 128);
-        if (perturbed != 0) ++stats.weights_changed;
-        row[c] = perturbed;
-        continue;
-      }
-      const auto offset = static_cast<unsigned>(static_cast<int>(weight) + 128);
+
+  // Stuck draws on (variation optional): a run of zero weights at [c, e).
+  // Every cell reads its lower-plane stuck draws, the top plane's normal and
+  // its top stuck draw.
+  const auto burn_zero_run_stuck = [&](std::int8_t* row, std::int64_t c,
+                                       std::int64_t e, std::int64_t seg_c0) {
+    for (; c < e; ++c) {
+      ensure_window();
+      const std::uint64_t tag = static_cast<std::uint64_t>(c - seg_c0)
+                                << kColShift;
+      unsigned out = 0;
+      // The lower planes hold level 0 and draw no variation: a straight run
+      // of stuck draws.
       if constexpr (kRecord) {
-        rec_base = static_cast<std::uint64_t>(r * cols + c) * planes;
-        rec_orig = weight;
-      }
-      // Branchless mask of planes holding a nonzero level. Iterating its set
-      // bits (below) replaces `planes` unpredictable per-plane `level > 0`
-      // branches — the dominant cost on random weights, where each plane
-      // mispredicts half the time — with one loop whose trip count is the
-      // set-plane count.
-      unsigned plane_mask = 0;
-      for (int p = 0; p < planes; ++p) {
-        plane_mask |= ((offset >> (p * b)) & mask) ? 1u << p : 0u;
-      }
-      if (!variation) plane_mask = 0;  // no draws → every plane is stuck-only
-      unsigned out = offset;
-      // Planes outside the draw mask keep their stored level unless a stuck
-      // draw hits (rare), so the run loops touch `out` only on a hit.
-      const auto stuck_run = [&](int from, int to) {
-        for (int rp = from; rp < to; ++rp) {
-          const std::uint64_t k = rng.uniform_bits53();
-          if constexpr (kRecord) {
-            if (k < kRecordCap53) [[unlikely]] {
-              rec->push_back(
-                  {k,
-                   static_cast<std::uint32_t>(
-                       rec_base + static_cast<std::uint64_t>(rp)),
-                   rec_orig});
+        for (int p = 0; p < planes - 1; ++p) {
+          record_draw(d[p], tag | static_cast<std::uint64_t>(p)
+                                      << kPlaneShift);
+        }
+      } else {
+        // k < sum_thr ⟺ k − sum_thr wraps (both are < 2⁵³): OR the sign
+        // bits across the run, test once.
+        std::uint64_t any = 0;
+        for (int p = 0; p < planes - 1; ++p) any |= d[p] - sum_thr;
+        if (any >> 63) [[unlikely]] {
+          for (int p = 0; p < planes - 1; ++p) {
+            if (d[p] >= sum_thr) continue;
+            if (d[p] < zero_thr) {
+              ++stats.stuck_at_zero;  // level was already 0
+            } else {
+              out |= mask << (p * b);
+              ++stats.stuck_at_one;
             }
-          } else if (k < stuck_sum_thr53_) [[unlikely]] {
+          }
+        }
+      }
+      d += planes - 1;
+      unsigned quantized = top_level;
+      double s = 1.0, uv = 0.0;
+      if (variation) next_normal_su(s, uv);
+      if (s <= safe_top) [[unlikely]] {
+        quantized = requantize(top_level, s, uv);
+      }
+      stuck_draw(quantized, tag | static_cast<std::uint64_t>(planes - 1)
+                                      << kPlaneShift);
+      out |= quantized << top_shift;
+      if (out != top_level << top_shift) {
+        row[c] = static_cast<std::int8_t>(static_cast<int>(out) - 128);
+        ++stats.weights_changed;
+      }
+    }
+  };
+
+  // One nonzero weight at column c. Its draws are, plane by plane, a polar
+  // normal when the level is nonzero and then the plane's stuck draw. The
+  // normals are walked a pair at a time over the nonzero planes (the pair's
+  // second deviate serves the next one), tracking how many polar draws each
+  // plane consumed; the stuck draws are then read at their stream positions
+  // in one fixed-length pass. Which planes draw is a coin flip per plane
+  // for a random weight, so no branch is taken per plane.
+  const auto burn_cell = [&](std::int8_t* row, std::int64_t c,
+                             std::int64_t seg_c0) {
+    ensure_window();
+    const std::int8_t weight = row[c];
+    const auto offset = static_cast<unsigned>(static_cast<int>(weight) + 128);
+    // Planes drawing a normal.
+    unsigned normals = variation ? nonzero_planes<kPlanes>(offset) : 0u;
+    unsigned out = offset;
+    const auto settle = [&](int q, double s, double uv) {
+      const unsigned level = (offset >> (q * b)) & mask;
+      if (s <= safe[level]) [[unlikely]] {
+        out = (out & ~(mask << (q * b))) |
+              (requantize(level, s, uv) << (q * b));
+      }
+    };
+    if (normals != 0 && has_pending) {
+      const int q = std::countr_zero(normals);
+      normals &= normals - 1;
+      has_pending = false;
+      settle(q, ps, pv);
+    }
+    // polar_at[p]: polar draws consumed at plane p; `used` their running sum.
+    std::ptrdiff_t polar_at[kPlanes] = {};
+    std::ptrdiff_t used = 0;
+    while (normals != 0) {
+      const int q = std::countr_zero(normals);
+      normals &= normals - 1;
+      // The pair is drawn at plane q: after its q stuck draws (when stuck
+      // draws are consumed at all) and every polar draw so far.
+      const std::ptrdiff_t stuck_before = stuck ? q : 0;
+      std::ptrdiff_t at = stuck_before + used;
+      double u, v, s;
+      for (;;) {
+        if (d_end - d < at + 2 + planes) [[unlikely]] {
+          if (at + 2 + planes > kLookahead) lookahead_overflow();
+          d_end = refill_draws(rng, buf, d, d_end);
+          d = buf;
+        }
+        u = polar_unit(d[at]);
+        v = polar_unit(d[at + 1]);
+        at += 2;
+        s = u * u + v * v;
+        if (s < 1.0 && s != 0.0) break;
+      }
+      polar_at[q] = at - stuck_before - used;
+      used = at - stuck_before;
+      settle(q, s, u);
+      if (normals != 0) {
+        const int q2 = std::countr_zero(normals);
+        normals &= normals - 1;
+        settle(q2, s, v);
+      } else {
+        has_pending = true;
+        pu = u;
+        pv = v;
+        ps = s;
+      }
+    }
+    if (stuck) {
+      const std::uint64_t tag = static_cast<std::uint64_t>(c - seg_c0)
+                                << kColShift;
+      std::ptrdiff_t shift = 0;
+      if constexpr (kRecord) {
+        for (int p = 0; p < planes; ++p) {
+          shift += polar_at[p];
+          record_draw(d[p + shift],
+                      tag | static_cast<std::uint64_t>(p) << kPlaneShift);
+        }
+      } else {
+        std::uint64_t any = 0;
+        for (int p = 0; p < planes; ++p) {
+          shift += polar_at[p];
+          any |= d[p + shift] - sum_thr;
+        }
+        if (any >> 63) [[unlikely]] {
+          shift = 0;
+          for (int p = 0; p < planes; ++p) {
+            shift += polar_at[p];
+            const std::uint64_t k = d[p + shift];
+            if (k >= sum_thr) continue;
             unsigned forced;
-            if (k < stuck_zero_thr53_) {
+            if (k < zero_thr) {
               forced = 0;
               ++stats.stuck_at_zero;
             } else {
               forced = mask;
               ++stats.stuck_at_one;
             }
-            out = (out & ~(mask << (rp * b))) | (forced << (rp * b));
+            out = (out & ~(mask << (p * b))) | (forced << (p * b));
           }
         }
-      };
-      int p = 0;
-      unsigned pending_planes = plane_mask;
-      while (pending_planes) {
-        const int q = std::countr_zero(pending_planes);
-        pending_planes &= pending_planes - 1;
-        if (stuck) stuck_run(p, q);
-        const unsigned level = (offset >> (q * b)) & mask;
-        unsigned quantized = level;
-        double s, uv;
-        next_normal_su(s, uv);
-        if (s <= level_s_safe_[level]) {
-          quantized = requantize(level, s, uv);
-        }
-        if (stuck) stuck_override(quantized, q);
-        out = (out & ~(mask << (q * b))) | (quantized << (q * b));
-        p = q + 1;
       }
-      if (stuck) stuck_run(p, planes);
-      const auto perturbed =
-          static_cast<std::int8_t>(static_cast<int>(out) - 128);
-      if (perturbed != weight) ++stats.weights_changed;
-      row[c] = perturbed;
     }
+    d += (stuck ? planes : 0) + used;
+    const auto perturbed =
+        static_cast<std::int8_t>(static_cast<int>(out) - 128);
+    if (perturbed != weight) {
+      row[c] = perturbed;
+      ++stats.weights_changed;
+    }
+  };
+
+  // Moves a recorded segment's kept draws into the stream-order staging,
+  // restoring each candidate's byte offset and original weight.
+  const auto unpack_segment = [&](std::int64_t off) {
+    const std::size_t base = scratch.staged;
+    if (scratch.key.size() < base + rn) {
+      scratch.key.resize(2 * (base + rn));
+      scratch.pos.resize(2 * (base + rn));
+    }
+    scratch.staged += rn;
+    for (std::size_t i = 0; i < rn; ++i) {
+      const std::uint64_t w = seg[i];
+      const auto col = static_cast<std::int64_t>(w >> kColShift);
+      const auto orig = static_cast<std::uint8_t>(
+          scratch.originals[static_cast<std::size_t>(col)]);
+      scratch.key[base + i] = (w & (kRecordCap53 - 1)) |
+                              static_cast<std::uint64_t>(orig)
+                                  << StuckRecord::kCapBits;
+      const auto plane = static_cast<std::int64_t>((w >> kPlaneShift) & 7u);
+      scratch.pos[base + i] =
+          static_cast<std::uint32_t>(((off + col) << 3) | plane);
+    }
+    rn = 0;
+  };
+
+  if (!stuck) {
+    // Variation only: the stream is nothing but polar attempts, and the
+    // normals they yield go to the nonzero levels in cell order, plane
+    // order — two per accepted pair. So the burn runs as three straight
+    // passes instead of a walk: count the normals, consume exactly that
+    // many from the pair stream (flagging the rare pairs with
+    // s ≤ max safe[L]), then place only the flagged pairs' normals.
+    if (variation) {
+      burn_variation_only<kPlanes>(cells, rows, cols, row_stride, safe, rng,
+                                   buf, stats);
+    }
+    return stats;
+  }
+
+  for (std::int64_t r = 0; r < rows; ++r) {
+    std::int8_t* row = cells.data() + r * row_stride;
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kSegmentCols) {
+      const std::int64_t c1 = std::min(cols, c0 + kSegmentCols);
+      if constexpr (kRecord) {
+        std::copy(row + c0, row + c1, scratch.originals.begin());
+      }
+      std::int64_t c = c0;
+      while (c < c1) {
+        if (row[c] == 0) {
+          const std::int64_t e = zero_run_end(row, c + 1, c1);
+          burn_zero_run_stuck(row, c, e, c0);
+          c = e;
+        } else {
+          burn_cell(row, c, c0);
+          ++c;
+        }
+      }
+      if constexpr (kRecord) unpack_segment(r * row_stride + c0);
+    }
+  }
+
+  if constexpr (kRecord) {
+    // Stable counting sort of the staged candidates into their buckets.
+    const std::size_t n = scratch.staged;
+    const std::uint64_t* keys = scratch.key.data();
+    const std::uint32_t* pos = scratch.pos.data();
+    const auto bucket_of = [](std::uint64_t key) {
+      return static_cast<std::size_t>((key & (kRecordCap53 - 1)) >>
+                                      StuckRecord::kBucketShift);
+    };
+    StuckRecord& out = *rec;
+    out.start_.fill(0);
+    for (std::size_t i = 0; i < n; ++i) ++out.start_[bucket_of(keys[i]) + 1];
+    for (int bk = 0; bk < StuckRecord::kBuckets; ++bk) {
+      out.start_[bk + 1] += out.start_[bk];
+    }
+    std::array<std::uint32_t, StuckRecord::kBuckets> fill;
+    std::copy_n(out.start_.begin(), StuckRecord::kBuckets, fill.begin());
+    // Default-initialized (uninitialized) storage: every slot is written.
+    out.key_.reset(new std::uint64_t[n]);
+    out.pos_.reset(new std::uint32_t[n]);
+    out.size_ = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t dst = fill[bucket_of(keys[i])]++;
+      out.key_[dst] = keys[i];
+      out.pos_[dst] = pos[i];
+    }
+    out.extent_ =
+        rows == 0 ? 0
+                  : static_cast<std::size_t>((rows - 1) * row_stride + cols);
   }
   return stats;
 }

@@ -36,7 +36,10 @@
 // output stays bit-identical to the fault-free build (tested).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -243,17 +246,36 @@ struct RobustnessReport {
   FaultMapStats fault_stats;  ///< aggregated over every trial fabric
 };
 
-/// One stuck-at draw candidate captured by a recording burn-in pass
-/// (FaultModel::apply_recording): the raw 53-bit uniform draw `k`, the flat
-/// physical-plane index it targets ((row·cols + col)·planes + plane) and the
-/// originally programmed weight of the owning logical cell (needed to
-/// recompute weights_changed exactly on replay). Only draws below
-/// FaultModel::kRecordCap53 are kept, so at sweep-scale rates the list is a
-/// few candidates per thousand cells.
-struct StuckCandidate {
-  std::uint64_t k = 0;       ///< raw uniform_bits53 draw
-  std::uint32_t plane = 0;   ///< (row·cols + col)·planes + plane
-  std::int8_t original = 0;  ///< programmed weight before any perturbation
+/// The stuck-draw candidates of one recorded crossbar burn
+/// (FaultModel::apply_recording): every stuck-at draw k < kRecordCap53 of
+/// the crossbar's stream, with the cell byte and plane it targets and the
+/// cell's originally programmed weight (replay needs it to correct
+/// weights_changed exactly). Candidates are bucketed by the high bits of the
+/// raw 53-bit draw, bucket k >> kBucketShift, and kept in stream order inside
+/// each bucket, so a replay at summed threshold T walks only the buckets
+/// below T and filters the one T falls in: its cost follows the hits, not
+/// the recorded list. Storage is exact-size, 12 bytes per candidate.
+class StuckRecord {
+ public:
+  static constexpr int kCapBits = 49;      ///< kRecordCap53 == 2^kCapBits
+  static constexpr int kBucketShift = 45;  ///< bucket = k >> kBucketShift
+  static constexpr int kBuckets = 1 << (kCapBits - kBucketShift);
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t bucket_size(int bucket) const noexcept {
+    return start_[bucket + 1] - start_[bucket];
+  }
+
+ private:
+  friend class FaultModel;
+  std::array<std::uint32_t, kBuckets + 1> start_{};  ///< bucket offsets
+  std::size_t size_ = 0;
+  /// k | (original weight as its unsigned byte) << kCapBits.
+  std::unique_ptr<std::uint64_t[]> key_;
+  /// (row·row_stride + col) << 3 | plane: the targeted byte and plane.
+  std::unique_ptr<std::uint32_t[]> pos_;
+  std::size_t extent_ = 0;  ///< cells a replay target must span
 };
 
 /// Seeded sampler that burns a FaultConfig into programmed weight arrays.
@@ -292,7 +314,8 @@ class FaultModel {
   /// Recording cap: stuck draws with k < 2⁵³/16 are captured by
   /// apply_recording, so any config whose summed stuck rate is ≤ 1/16 can be
   /// replayed from one recording (the sweep grids top out around 1e-2).
-  static constexpr std::uint64_t kRecordCap53 = std::uint64_t{1} << 49;
+  static constexpr std::uint64_t kRecordCap53 = std::uint64_t{1}
+                                                << StuckRecord::kCapBits;
 
   /// True when this config's burn-in can be recorded and later replayed:
   /// fast-kernel eligible (no drift), stuck draws consumed (some stuck rate
@@ -305,9 +328,9 @@ class FaultModel {
 
   /// Recording burn-in: consumes the RNG stream exactly as apply() does for
   /// this config, applies programming variation to `cells`, but *records*
-  /// every stuck draw below kRecordCap53 into `out` (appended in stream
-  /// order) instead of applying any stuck override. The returned stats carry
-  /// the variation-only counts (stuck counts zero); replay_stuck() then
+  /// every stuck draw below kRecordCap53 into `out` (replacing its contents)
+  /// instead of applying any stuck override. The returned stats carry the
+  /// variation-only counts (stuck counts zero); replay_stuck() then
   /// completes the burn for any rate pair within the cap. The key property
   /// (tested): the burn-in stream position never depends on the stuck *rate
   /// values*, so one recording serves every nonzero-rate config sharing
@@ -316,18 +339,18 @@ class FaultModel {
                                 std::int64_t rows, std::int64_t cols,
                                 std::int64_t row_stride,
                                 std::uint64_t crossbar_id,
-                                std::vector<StuckCandidate>& out) const;
+                                StuckRecord& out) const;
 
   /// Completes a recorded burn on a post-variation clone: forces the planes
   /// whose recorded draw falls under this config's thresholds and returns
   /// the *delta* stats (stuck counts plus the weights_changed correction
   /// relative to the recording's variation-only count; physical_cells 0, so
   /// recording stats + delta == apply() stats exactly). `cells` must hold
-  /// the recording's post-variation state; `hits` must be the recording's
-  /// candidate list for the same geometry.
-  FaultMapStats replay_stuck(std::span<std::int8_t> cells, std::int64_t cols,
-                             std::int64_t row_stride,
-                             std::span<const StuckCandidate> hits) const;
+  /// the recording's post-variation state in the recorded geometry. Walks
+  /// only the record's buckets below this config's summed threshold; a
+  /// zero-rate config forces nothing.
+  FaultMapStats replay_stuck(std::span<std::int8_t> cells,
+                             const StuckRecord& record) const;
 
   /// Effective weight-space rms error per unit σ of per-level lognormal
   /// noise: A(b) = sqrt(E[v²] · Σ_p 4^{p·b}) with v uniform over the level
@@ -344,7 +367,7 @@ class FaultModel {
  private:
   FaultMapStats apply_fast(std::span<std::int8_t> cells, std::int64_t rows,
                            std::int64_t cols, std::int64_t row_stride,
-                           common::Rng& rng) const;
+                           common::Rng& rng, StuckRecord* rec) const;
   /// apply_fast body with the plane count baked in at compile time so the
   /// per-plane loops fully unroll (defined in faults.cpp; instantiated for
   /// every legal 8 / cell_bits). With kRecord the stuck draws are captured
@@ -354,7 +377,15 @@ class FaultModel {
   FaultMapStats apply_fast_impl(std::span<std::int8_t> cells,
                                 std::int64_t rows, std::int64_t cols,
                                 std::int64_t row_stride, common::Rng& rng,
-                                std::vector<StuckCandidate>* rec) const;
+                                StuckRecord* rec) const;
+
+  /// The variation-only (zero stuck rates) burn of apply_fast_impl: its
+  /// stream is nothing but polar attempts, consumed in three passes.
+  template <int kPlanes>
+  void burn_variation_only(std::span<std::int8_t> cells, std::int64_t rows,
+                           std::int64_t cols, std::int64_t row_stride,
+                           const double* safe, common::Rng& rng,
+                           std::uint64_t* buf, FaultMapStats& stats) const;
 
   FaultConfig config_;
   int planes_ = 8;           ///< 8 / cell_bits

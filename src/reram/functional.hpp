@@ -47,11 +47,11 @@ enum class KernelPolicy {
 };
 
 /// One crossbar's recorded fault burn-in: the variation-only stats of the
-/// recording pass plus the stuck-draw candidates captured from the stream
-/// (see FaultModel::apply_recording).
+/// recording pass plus the bucketed stuck-draw candidates captured from the
+/// stream (see FaultModel::apply_recording).
 struct CrossbarBurnRecord {
   FaultMapStats variation;
-  std::vector<StuckCandidate> hits;
+  StuckRecord stuck;
 };
 
 /// One recorded trial burn across a whole fabric, indexed [layer][crossbar].

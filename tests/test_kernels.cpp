@@ -441,9 +441,96 @@ TEST(KernelScratch, BuffersGrowMonotonicallyAndAreReusable) {
 // ---------------------------------------------------------------------------
 // Fast fault burn-in vs the per-cell reference implementation.
 
+// A programmed array as burn-in sees it: rows×cols weights at row stride
+// `stride`. sparse_array() fills only a used corner, with a share of
+// quantized zeros, as in a sparsely used crossbar; pad bytes between cols
+// and stride carry a marker no burn may touch.
+struct BurnArray {
+  std::int64_t rows, cols, stride;
+  std::vector<std::int8_t> cells;
+};
+
+BurnArray sparse_array(std::int64_t rows, std::int64_t cols,
+                       std::int64_t stride, std::int64_t used_rows,
+                       std::int64_t used_cols, std::uint64_t seed) {
+  BurnArray a{rows, cols, stride,
+              std::vector<std::int8_t>(static_cast<std::size_t>(rows * stride),
+                                       0)};
+  common::Rng rng(seed);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = cols; c < stride; ++c) {
+      a.cells[static_cast<std::size_t>(r * stride + c)] = 0x5a;
+    }
+  }
+  for (std::int64_t r = 0; r < used_rows; ++r) {
+    for (std::int64_t c = 0; c < used_cols; ++c) {
+      a.cells[static_cast<std::size_t>(r * stride + c)] =
+          rng.uniform() < 0.2
+              ? std::int8_t{0}
+              : static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    }
+  }
+  return a;
+}
+
+FaultConfig stuck_config(double zero_rate, double one_rate, int bits) {
+  FaultConfig fc;
+  fc.stuck_at_zero_rate = zero_rate;
+  fc.stuck_at_one_rate = one_rate;
+  fc.program_sigma = 0.01;
+  fc.cell_bits = bits;
+  fc.seed = 0xb0c4e7 + static_cast<std::uint64_t>(bits);
+  return fc;
+}
+
+// Records `a` once under `rec_fc`, replays it at every config in `targets`
+// and checks cells and all four stats against a direct apply().
+void expect_replay_matches_apply(const BurnArray& a, const FaultConfig& rec_fc,
+                                 const std::vector<FaultConfig>& targets,
+                                 std::uint64_t crossbar_id) {
+  const FaultModel rec_model(rec_fc);
+  ASSERT_TRUE(rec_model.record_eligible());
+  auto post_var = a.cells;
+  reram::StuckRecord record;
+  const FaultMapStats var_stats = rec_model.apply_recording(
+      post_var, a.rows, a.cols, a.stride, crossbar_id, record);
+  EXPECT_EQ(var_stats.stuck_at_zero + var_stats.stuck_at_one, 0);
+  std::size_t bucketed = 0;
+  for (int bk = 0; bk < reram::StuckRecord::kBuckets; ++bk) {
+    bucketed += record.bucket_size(bk);
+  }
+  EXPECT_EQ(bucketed, record.size());
+  for (const FaultConfig& fc : targets) {
+    const FaultModel model(fc);
+    auto direct = a.cells;
+    const FaultMapStats direct_stats =
+        model.apply(direct, a.rows, a.cols, a.stride, crossbar_id);
+    auto replayed = post_var;
+    const FaultMapStats delta = model.replay_stuck(replayed, record);
+    SCOPED_TRACE(testing::Message()
+                 << "bits " << fc.cell_bits << " rates "
+                 << fc.stuck_at_zero_rate << "/" << fc.stuck_at_one_rate);
+    EXPECT_EQ(replayed, direct);
+    EXPECT_EQ(delta.physical_cells, 0);
+    EXPECT_EQ(var_stats.physical_cells, direct_stats.physical_cells);
+    EXPECT_EQ(var_stats.stuck_at_zero + delta.stuck_at_zero,
+              direct_stats.stuck_at_zero);
+    EXPECT_EQ(var_stats.stuck_at_one + delta.stuck_at_one,
+              direct_stats.stuck_at_one);
+    EXPECT_EQ(var_stats.weights_changed + delta.weights_changed,
+              direct_stats.weights_changed);
+  }
+}
+
 TEST(FaultBurnIn, FastApplyMatchesReference) {
-  const std::int64_t rows = 60, cols = 52;
-  FaultConfig configs[4];
+  // A dense random array, a 576×512 crossbar with LeNet fc1's 400×120
+  // corner used, and a strided array whose rows are padded past cols.
+  common::Rng wrng(99);
+  const BurnArray arrays[] = {
+      {60, 52, 52, random_weights(wrng, 60 * 52)},
+      sparse_array(576, 512, 512, 400, 120, 16),
+      sparse_array(70, 90, 128, 50, 90, 17)};
+  FaultConfig configs[5];
   configs[0].stuck_at_zero_rate = 0.01;  // stuck-only
   configs[0].stuck_at_one_rate = 0.005;
   configs[1].program_sigma = 0.3;  // heavy variation-only
@@ -454,67 +541,124 @@ TEST(FaultBurnIn, FastApplyMatchesReference) {
   configs[3].program_sigma = 0.02;
   configs[3].drift_time_s = 1e5;
   configs[3].drift_nu = 0.05;
-  for (FaultConfig fc : configs) {
-    for (const int bits : {1, 2, 4, 8}) {
-      fc.cell_bits = bits;
-      fc.seed = 0x1234 + static_cast<std::uint64_t>(bits);
-      const FaultModel model(fc);
-      common::Rng wrng(99);
-      const auto original = random_weights(wrng, rows * cols);
-      auto fast = original;
-      auto ref = original;
-      const FaultMapStats fast_stats =
-          model.apply(fast, rows, cols, cols, /*crossbar_id=*/17);
-      const FaultMapStats ref_stats =
-          model.apply_reference(ref, rows, cols, cols, /*crossbar_id=*/17);
-      EXPECT_EQ(fast, ref) << "bits=" << bits;
-      expect_stats_eq(fast_stats, ref_stats);
+  configs[4].program_sigma = 0.01;  // the sweep's zero-rate points
+  for (const BurnArray& a : arrays) {
+    for (FaultConfig fc : configs) {
+      for (const int bits : {1, 2, 4, 8}) {
+        fc.cell_bits = bits;
+        fc.seed = 0x1234 + static_cast<std::uint64_t>(bits);
+        const FaultModel model(fc);
+        auto fast = a.cells;
+        auto ref = a.cells;
+        const FaultMapStats fast_stats =
+            model.apply(fast, a.rows, a.cols, a.stride, /*crossbar_id=*/17);
+        const FaultMapStats ref_stats = model.apply_reference(
+            ref, a.rows, a.cols, a.stride, /*crossbar_id=*/17);
+        EXPECT_EQ(fast, ref) << a.rows << "x" << a.cols << " bits=" << bits;
+        expect_stats_eq(fast_stats, ref_stats);
+      }
     }
   }
 }
 
 TEST(FaultBurnIn, RecordReplayMatchesDirectBurnAcrossRates) {
-  const std::int64_t rows = 48, cols = 40;
   FaultConfig rec_fc;
   rec_fc.stuck_at_zero_rate = 5e-3;
   rec_fc.stuck_at_one_rate = 5e-3;
   rec_fc.program_sigma = 0.01;
   rec_fc.cell_bits = 2;
   rec_fc.seed = 77;
-  const FaultModel rec_model(rec_fc);
-  ASSERT_TRUE(rec_model.record_eligible());
   common::Rng wrng(5);
-  const auto original = random_weights(wrng, rows * cols);
-  auto post_var = original;
-  std::vector<reram::StuckCandidate> hits;
-  const FaultMapStats var_stats = rec_model.apply_recording(
-      post_var, rows, cols, cols, /*crossbar_id=*/9, hits);
+  const BurnArray a{48, 40, 40, random_weights(wrng, 48 * 40)};
   // The recorded stream replays exactly for every nonzero rate pair: the
   // thresholds move, the draw stream does not.
   const double rate_pairs[][2] = {
       {1e-4, 1e-4}, {5e-3, 5e-3}, {1e-2, 0.0}, {0.0, 1e-2}, {2e-2, 3e-2}};
+  std::vector<FaultConfig> targets;
   for (const auto& rates : rate_pairs) {
     FaultConfig fc = rec_fc;
     fc.stuck_at_zero_rate = rates[0];
     fc.stuck_at_one_rate = rates[1];
-    const FaultModel model(fc);
-    auto direct = original;
-    const FaultMapStats direct_stats =
-        model.apply(direct, rows, cols, cols, /*crossbar_id=*/9);
+    targets.push_back(fc);
+  }
+  expect_replay_matches_apply(a, rec_fc, targets, /*crossbar_id=*/9);
+}
+
+TEST(FaultBurnIn, BucketedReplayMatchesApplyOnSparseCrossbar) {
+  // A 576×512 crossbar with LeNet fc1's 400×120 corner used, and a strided
+  // array whose rows are padded past cols.
+  const BurnArray arrays[] = {sparse_array(576, 512, 512, 400, 120, 11),
+                              sparse_array(70, 90, 128, 50, 90, 12)};
+  for (const BurnArray& a : arrays) {
+    for (const int bits : {1, 2, 4, 8}) {
+      std::vector<FaultConfig> targets;
+      for (const double rate : {1e-4, 1e-3, 5e-3, 1e-2}) {
+        targets.push_back(stuck_config(rate / 2.0, rate / 2.0, bits));
+      }
+      expect_replay_matches_apply(a, stuck_config(5e-4, 5e-4, bits), targets,
+                                  /*crossbar_id=*/3);
+    }
+  }
+}
+
+TEST(FaultBurnIn, ReplayThresholdsOnBucketEdges) {
+  // Summed thresholds exactly on the edge of bucket 2 (k = 2^46), one below
+  // and one above, as a single rate and as a zero/one split.
+  const BurnArray a = sparse_array(96, 80, 80, 96, 40, 13);
+  const double edge = 0x1.0p-7;  // 2^46 · 2^-53
+  const double below = (0x1.0p46 - 1.0) * 0x1.0p-53;
+  const double above = (0x1.0p46 + 1.0) * 0x1.0p-53;
+  for (const int bits : {1, 2, 4}) {
+    std::vector<FaultConfig> targets;
+    for (const double rate : {edge, below, above}) {
+      targets.push_back(stuck_config(rate, 0.0, bits));
+      targets.push_back(stuck_config(0.0, rate, bits));
+    }
+    targets.push_back(stuck_config(edge / 2.0, edge / 2.0, bits));
+    expect_replay_matches_apply(a, stuck_config(1e-3, 0.0, bits), targets,
+                                /*crossbar_id=*/5);
+  }
+}
+
+TEST(FaultBurnIn, SpanningProbeRecordingReplaysCapAndZeroRate) {
+  const BurnArray a = sparse_array(144, 128, 128, 100, 60, 14);
+  for (const int bits : {1, 2, 4, 8}) {
+    const FaultConfig probe = reram::spanning_probe(stuck_config(0, 0, bits));
+    ASSERT_EQ(FaultModel(probe).record_eligible(), true);
+    // At the cap every bucket is walked.
+    expect_replay_matches_apply(a, probe, {probe}, /*crossbar_id=*/8);
+    // Zero rates force nothing: the recording's post-variation state stays.
+    auto post_var = a.cells;
+    reram::StuckRecord record;
+    FaultModel(probe).apply_recording(post_var, a.rows, a.cols, a.stride, 8,
+                                      record);
     auto replayed = post_var;
     const FaultMapStats delta =
-        model.replay_stuck(replayed, cols, cols, hits);
-    EXPECT_EQ(replayed, direct)
-        << "rates " << rates[0] << "/" << rates[1];
-    EXPECT_EQ(var_stats.physical_cells + delta.physical_cells,
-              direct_stats.physical_cells);
-    EXPECT_EQ(var_stats.stuck_at_zero + delta.stuck_at_zero,
-              direct_stats.stuck_at_zero);
-    EXPECT_EQ(var_stats.stuck_at_one + delta.stuck_at_one,
-              direct_stats.stuck_at_one);
-    EXPECT_EQ(var_stats.weights_changed + delta.weights_changed,
-              direct_stats.weights_changed);
+        FaultModel(stuck_config(0, 0, bits)).replay_stuck(replayed, record);
+    EXPECT_EQ(replayed, post_var);
+    expect_stats_eq(delta, FaultMapStats{});
   }
+}
+
+TEST(FaultBurnIn, ReplayWithEmptyBuckets) {
+  // 6×4 one-bit cells draw 192 stuck uniforms, ~12 under the cap: most of
+  // the 16 buckets stay empty.
+  const BurnArray a = sparse_array(6, 4, 4, 6, 4, 15);
+  FaultConfig rec_fc = stuck_config(1e-3, 1e-3, 1);
+  const FaultModel rec_model(rec_fc);
+  auto post_var = a.cells;
+  reram::StuckRecord record;
+  rec_model.apply_recording(post_var, a.rows, a.cols, a.stride, 2, record);
+  int empty = 0;
+  for (int bk = 0; bk < reram::StuckRecord::kBuckets; ++bk) {
+    empty += record.bucket_size(bk) == 0;
+  }
+  EXPECT_GT(empty, 0);
+  std::vector<FaultConfig> targets;
+  for (const double rate : {1e-4, 1e-2, 3e-2, 0.0625}) {
+    targets.push_back(stuck_config(rate / 2.0, rate / 2.0, 1));
+  }
+  expect_replay_matches_apply(a, rec_fc, targets, 2);
 }
 
 // ---------------------------------------------------------------------------

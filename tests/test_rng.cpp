@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -121,6 +122,16 @@ TEST(Splitmix64, KnownSequenceIsStable) {
   EXPECT_NE(first, second);
   std::uint64_t state2 = 0;
   EXPECT_EQ(common::splitmix64(state2), first);
+}
+
+TEST(Rng, FillBits53MatchesSingleDraws) {
+  common::Rng a(77), b(77);
+  std::vector<std::uint64_t> block(1000);
+  a.fill_bits53(block.data(), 7);  // an odd head, then a long block
+  a.fill_bits53(block.data() + 7, block.size() - 7);
+  for (const std::uint64_t k : block) EXPECT_EQ(k, b.uniform_bits53());
+  // Both generators sit at the same stream position afterwards.
+  EXPECT_EQ(a(), b());
 }
 
 }  // namespace
