@@ -74,12 +74,12 @@ MANIFEST = [
     ("BENCH_functional_throughput.json",
      "row_block_split.identical", "bool", 0.0, False),
     # Same-host ratio: the 1-bit recording burn's ns per RNG draw over a bare
-    # xoshiro256** loop timed in the same process. Both sides run on one
-    # host, so the slack is not scaled by --timing-slack; it still allows
-    # for cores that weigh the consumer's ops against the generator's
-    # differently.
+    # xoshiro256** loop timed in the same process. The baseline is the
+    # median of five runs on the machine that recorded it; how other cores
+    # weigh the consumer's ops against the generator's is unmeasured, so
+    # the slack is scaled by --timing-slack like the other timing gates.
     ("BENCH_functional_throughput.json",
-     "burn_in.record_vs_ceiling", "max", 0.50, False),
+     "burn_in.record_vs_ceiling", "max", 0.50, True),
     ("BENCH_functional_throughput.json",
      "monte_carlo.configs.[config=AutoHet (RL)].reports_identical",
      "bool", 0.0, False),

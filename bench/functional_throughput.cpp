@@ -15,7 +15,8 @@
 //     on LeNet-5, and the integer datapath on the CIFAR residual DAG
 //     through forward_graph), plus the same forward split across row
 //     blocks / position tiles on a worker pool (bit-identical outputs,
-//     asserted);
+//     asserted), and AlexNet serial vs pooled, whose large layers clear
+//     reram::kPoolMinMacs and so really split (bit-identical, asserted);
 //   * fault burn-in on one 576x512 crossbar with LeNet-5 fc1's weights in
 //     its corner: FaultModel::apply at stuck rate 0 and > 0, the recording
 //     burn and its replay at every grid rate, per cell width, each in ns per
@@ -372,6 +373,9 @@ int main(int argc, char** argv) {
   std::vector<ForwardRow> forwards;
   double fwd_serial_per_s = 0.0;
   double fwd_pool_per_s = 0.0;
+  double alex_serial_per_s = 0.0;
+  double alex_pool_per_s = 0.0;
+  int split_layers = 0;
   {
     const reram::SimulatedModel fast_int(model, shapes,
                                          reram::DatapathMode::kInteger);
@@ -436,6 +440,34 @@ int main(int argc, char** argv) {
         calls_per_second([&] { fsink = fsink + fast_int.forward(image)[0]; });
     fwd_pool_per_s = calls_per_second(
         [&] { fsink = fsink + fast_int.forward(image, 0, &fwd_pool)[0]; });
+
+    // LeNet-5's layers all sit under reram::kPoolMinMacs, so the forward
+    // above runs the serial code even with a pool. AlexNet's conv2..fc2
+    // clear it: its pooled forward really splits, and must match too.
+    const nn::NetworkSpec alexnet = nn::alexnet();
+    for (const nn::LayerSpec& spec : alexnet.mappable_layers()) {
+      split_layers += reram::layer_macs(spec) >= reram::kPoolMinMacs;
+    }
+    common::Rng alex_rng(21);
+    const nn::Model alex_model(alexnet, alex_rng);
+    const reram::SimulatedModel alex_int(
+        alex_model,
+        std::vector<mapping::CrossbarShape>(
+            alexnet.mappable_layers().size(), {72, 64}),
+        reram::DatapathMode::kInteger);
+    const nn::LayerSpec& alex_in = alexnet.layers.front();
+    const tensor::Tensor alex_image = nn::synthetic_image(
+        img_rng, alex_in.in_channels, alex_in.in_height, alex_in.in_width);
+    AUTOHET_CHECK(
+        tensor::max_abs_diff(alex_int.forward(alex_image),
+                             alex_int.forward(alex_image, 0, &fwd_pool)) ==
+            0.0f,
+        "pooled AlexNet forward diverged from the serial forward");
+    alex_serial_per_s = calls_per_second(
+        [&] { fsink = fsink + alex_int.forward(alex_image)[0]; });
+    alex_pool_per_s = calls_per_second([&] {
+      fsink = fsink + alex_int.forward(alex_image, 0, &fwd_pool)[0];
+    });
   }
 
   // --- Fault burn-in against the RNG ceiling ----------------------------
@@ -727,6 +759,11 @@ int main(int argc, char** argv) {
                  report::format_fixed(fwd_pool_per_s, 1),
                  report::format_fixed(fwd_serial_per_s, 1),
                  report::format_fixed(fwd_pool_per_s / fwd_serial_per_s, 2)});
+  table.add_row({"forward (img/s)", "alexnet+pool",
+                 report::format_fixed(alex_pool_per_s, 1),
+                 report::format_fixed(alex_serial_per_s, 1),
+                 report::format_fixed(alex_pool_per_s / alex_serial_per_s,
+                                      2)});
   for (const auto& m : mc_rows) {
     table.add_row({"MC grid (ms)", m.config,
                    report::format_fixed(m.fast_parallel_ms, 1),
@@ -811,6 +848,10 @@ int main(int argc, char** argv) {
        << "    \"pool_threads\": " << hw_threads << ",\n"
        << "    \"serial_images_per_s\": " << fwd_serial_per_s << ",\n"
        << "    \"pool_images_per_s\": " << fwd_pool_per_s << ",\n"
+       << "    \"alexnet_split_layers\": " << split_layers << ",\n"
+       << "    \"alexnet_serial_images_per_s\": " << alex_serial_per_s
+       << ",\n"
+       << "    \"alexnet_pool_images_per_s\": " << alex_pool_per_s << ",\n"
        << "    \"identical\": true\n  },\n  \"monte_carlo\": {\n"
        << "    \"workload\": \"fault_sweep\",\n"
        << "    \"episodes\": " << episodes << ",\n"

@@ -433,24 +433,6 @@ unsigned requantize_level(unsigned level, double s, double uv, double sigma,
       std::clamp(std::lround(noisy), 0l, static_cast<long>(mask)));
 }
 
-/// Bit 0 of every b-bit level group in a word of offset-binary bytes.
-constexpr std::uint64_t group_lsb(int bits) {
-  return bits == 1   ? ~std::uint64_t{0}
-         : bits == 2 ? 0x5555555555555555ULL
-         : bits == 4 ? 0x1111111111111111ULL
-                     : 0x0101010101010101ULL;
-}
-
-/// Number of nonzero b-bit levels across eight int8 weights packed in a
-/// word (offset-binary storage: v = w + 128 = w ^ 0x80).
-template <int kBits>
-int nonzero_levels8(std::uint64_t word) {
-  const std::uint64_t off = word ^ 0x8080808080808080ULL;
-  std::uint64_t any = off;
-  for (int sh = 1; sh < kBits; ++sh) any |= off >> sh;
-  return std::popcount(any & group_lsb(kBits));
-}
-
 /// Mask of the planes holding a nonzero level of one weight's offset.
 template <int kPlanes>
 unsigned nonzero_planes(unsigned offset) {
@@ -462,9 +444,6 @@ unsigned nonzero_planes(unsigned offset) {
   }
   return planes;
 }
-
-/// Columns per count chunk of the variation-only burn.
-constexpr std::int64_t kCountChunk = 64;
 
 /// Recording burns stage candidates per row segment of at most
 /// kSegmentCols columns, packed one word per stuck draw: the draw in bits
@@ -485,133 +464,6 @@ struct RecordScratch {
 thread_local RecordScratch t_record_scratch;
 
 }  // namespace
-
-template <int kPlanes>
-void FaultModel::burn_variation_only(std::span<std::int8_t> cells,
-                                     std::int64_t rows, std::int64_t cols,
-                                     std::int64_t row_stride,
-                                     const double* safe, common::Rng& rng,
-                                     std::uint64_t* buf,
-                                     FaultMapStats& stats) const {
-  constexpr int b = 8 / kPlanes;
-  const unsigned mask = level_mask_;
-  const double sigma = config_.program_sigma;
-  // Pass 1: normals per chunk of kCountChunk columns, as prefix sums.
-  const std::int64_t chunks = (cols + kCountChunk - 1) / kCountChunk;
-  std::vector<std::int64_t> prefix(static_cast<std::size_t>(rows * chunks) +
-                                   1);
-  std::int64_t total = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int8_t* row = cells.data() + r * row_stride;
-    for (std::int64_t ch = 0; ch < chunks; ++ch) {
-      const std::int64_t c1 = std::min(cols, (ch + 1) * kCountChunk);
-      std::int64_t c = ch * kCountChunk;
-      for (; c + 8 <= c1; c += 8) {
-        std::uint64_t word;
-        std::memcpy(&word, row + c, sizeof word);
-        total += nonzero_levels8<b>(word);
-      }
-      for (; c < c1; ++c) {
-        total += std::popcount(nonzero_planes<kPlanes>(
-            static_cast<unsigned>(static_cast<int>(row[c]) + 128)));
-      }
-      prefix[static_cast<std::size_t>(r * chunks + ch) + 1] = total;
-    }
-  }
-  // Pass 2: the pair stream. A pair whose s could move some level (s ≤ the
-  // largest safety bound) is kept for pass 3; acceptance is counted, not
-  // branched on.
-  double safe_max = -1.0;
-  for (unsigned level = 1; level <= mask; ++level) {
-    safe_max = std::max(safe_max, safe[level]);
-  }
-  struct Flagged {
-    std::int64_t pair;
-    double s, u, v;
-  };
-  std::vector<Flagged> flagged;
-  const std::uint64_t* d = buf;
-  const std::uint64_t* d_end = buf;
-  const std::int64_t pairs = (total + 1) / 2;
-  std::int64_t got = 0;
-  while (got < pairs) {
-    if (d_end - d < 2) {
-      d_end = refill_draws(rng, buf, d, d_end);
-      d = buf;
-    }
-    // Runs over the buffered attempts with no call inside, flagging into a
-    // small batch flushed below.
-    constexpr int kBatch = 32;
-    Flagged batch[kBatch];
-    int nf = 0;
-    for (; got < pairs && d_end - d >= 2 && nf < kBatch; d += 2) {
-      const double u = polar_unit(d[0]), v = polar_unit(d[1]);
-      const double s = u * u + v * v;
-      if (s <= safe_max && s != 0.0) [[unlikely]] {
-        batch[nf++] = {got, s, u, v};
-      }
-      got += (s < 1.0) & (s != 0.0);
-    }
-    flagged.insert(flagged.end(), batch, batch + nf);
-  }
-  // Pass 3: place each flagged normal (normal n is deviate n % 2 of pair
-  // n / 2) and requantize its level where s falls under that level's bound.
-  // Changes are applied once every normal is placed, so placement reads the
-  // programmed weights.
-  struct Change {
-    std::size_t cell;
-    int plane;
-    unsigned level;
-  };
-  std::vector<Change> changes;
-  std::size_t chunk = 0;
-  for (const Flagged& f : flagged) {
-    for (int half = 0; half < 2; ++half) {
-      const std::int64_t n = 2 * f.pair + half;
-      if (n >= total) break;
-      while (prefix[chunk + 1] <= n) ++chunk;
-      const auto r = static_cast<std::int64_t>(chunk) / chunks;
-      std::int64_t c = static_cast<std::int64_t>(chunk) % chunks * kCountChunk;
-      std::int64_t seen = prefix[chunk];
-      const std::int8_t* row = cells.data() + r * row_stride;
-      for (;; ++c) {
-        const auto offset =
-            static_cast<unsigned>(static_cast<int>(row[c]) + 128);
-        unsigned planes = nonzero_planes<kPlanes>(offset);
-        const int count = std::popcount(planes);
-        if (seen + count <= n) {
-          seen += count;
-          continue;
-        }
-        for (; seen < n; ++seen) planes &= planes - 1;
-        const int p = std::countr_zero(planes);
-        const unsigned level = (offset >> (p * b)) & mask;
-        if (f.s <= safe[level]) {
-          const unsigned q = requantize_level(
-              level, f.s, half == 0 ? f.u : f.v, sigma, mask);
-          if (q != level) {
-            changes.push_back(
-                {static_cast<std::size_t>(r * row_stride + c), p, q});
-          }
-        }
-        break;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < changes.size();) {
-    std::int8_t& byte = cells[changes[i].cell];
-    auto offset = static_cast<unsigned>(static_cast<int>(byte) + 128);
-    const std::size_t cell = changes[i].cell;
-    for (; i < changes.size() && changes[i].cell == cell; ++i) {
-      const int shift = changes[i].plane * b;
-      offset = (offset & ~(mask << shift)) | (changes[i].level << shift);
-    }
-    const auto perturbed =
-        static_cast<std::int8_t>(static_cast<int>(offset) - 128);
-    if (perturbed != byte) ++stats.weights_changed;
-    byte = perturbed;
-  }
-}
 
 template <int kPlanes, bool kRecord>
 FaultMapStats FaultModel::apply_fast_impl(
@@ -637,8 +489,8 @@ FaultMapStats FaultModel::apply_fast_impl(
   //     overwhelmingly common case at realistic σ. The polar pair cache
   //     lives in locals: legal because this rng is crossbar-local and
   //     discarded when the burn returns;
-  //   * with no stuck draws at all the stream is polar attempts only, burned
-  //     in three straight passes (burn_variation_only).
+  //   * with no stuck draws at all a zero run reads only its top planes'
+  //     normals (burn_zero_run_normals).
   constexpr int b = 8 / kPlanes;
   constexpr int planes = kPlanes;
   // Draws a cell step may read without a bounds check: a zero cell's stuck
@@ -800,6 +652,50 @@ FaultMapStats FaultModel::apply_fast_impl(
     }
   };
 
+  // Variation only: a run of zero weights at [c, e) reads nothing but the
+  // top plane's normals, two cells per accepted polar pair. The buffered
+  // pairs are walked with acceptance counted, not branched on; only a pair
+  // that might move a level (s ≤ s_safe) takes a branch. The run ends on an
+  // accepted pair, so an unused second deviate is the pair just read.
+  const auto burn_zero_run_normals = [&](std::int8_t* row, std::int64_t c,
+                                         std::int64_t e) {
+    const auto settle_zero = [&](std::int64_t col, double s, double uv) {
+      const unsigned quantized = requantize(top_level, s, uv);
+      if (quantized != top_level) {
+        row[col] = static_cast<std::int8_t>(
+            static_cast<int>(quantized << top_shift) - 128);
+        ++stats.weights_changed;
+      }
+    };
+    if (has_pending) {
+      has_pending = false;
+      if (ps <= safe_top) [[unlikely]] settle_zero(c, ps, pv);
+      ++c;
+    }
+    while (c < e) {
+      if (d_end - d < 2) {
+        d_end = refill_draws(rng, buf, d, d_end);
+        d = buf;
+      }
+      for (; c < e && d_end - d >= 2; d += 2) {
+        const double u = polar_unit(d[0]), v = polar_unit(d[1]);
+        const double s = u * u + v * v;
+        const bool accepted = (s < 1.0) & (s != 0.0);
+        if (accepted & (s <= safe_top)) [[unlikely]] {
+          settle_zero(c, s, u);
+          if (c + 1 < e) settle_zero(c + 1, s, v);
+        }
+        c += 2 * static_cast<std::int64_t>(accepted);
+      }
+    }
+    if (c > e) {
+      has_pending = true;
+      pu = polar_unit(d[-2]);
+      pv = polar_unit(d[-1]);
+      ps = pu * pu + pv * pv;
+    }
+  };
+
   // One nonzero weight at column c. Its draws are, plane by plane, a polar
   // normal when the level is nonzero and then the plane's stuck draw. The
   // normals are walked a pair at a time over the nonzero planes (the pair's
@@ -933,19 +829,7 @@ FaultMapStats FaultModel::apply_fast_impl(
     rn = 0;
   };
 
-  if (!stuck) {
-    // Variation only: the stream is nothing but polar attempts, and the
-    // normals they yield go to the nonzero levels in cell order, plane
-    // order — two per accepted pair. So the burn runs as three straight
-    // passes instead of a walk: count the normals, consume exactly that
-    // many from the pair stream (flagging the rare pairs with
-    // s ≤ max safe[L]), then place only the flagged pairs' normals.
-    if (variation) {
-      burn_variation_only<kPlanes>(cells, rows, cols, row_stride, safe, rng,
-                                   buf, stats);
-    }
-    return stats;
-  }
+  if (!stuck && !variation) return stats;  // nothing draws
 
   for (std::int64_t r = 0; r < rows; ++r) {
     std::int8_t* row = cells.data() + r * row_stride;
@@ -958,7 +842,11 @@ FaultMapStats FaultModel::apply_fast_impl(
       while (c < c1) {
         if (row[c] == 0) {
           const std::int64_t e = zero_run_end(row, c + 1, c1);
-          burn_zero_run_stuck(row, c, e, c0);
+          if (stuck) {
+            burn_zero_run_stuck(row, c, e, c0);
+          } else {
+            burn_zero_run_normals(row, c, e);
+          }
           c = e;
         } else {
           burn_cell(row, c, c0);

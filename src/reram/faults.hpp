@@ -379,14 +379,6 @@ class FaultModel {
                                 std::int64_t row_stride, common::Rng& rng,
                                 StuckRecord* rec) const;
 
-  /// The variation-only (zero stuck rates) burn of apply_fast_impl: its
-  /// stream is nothing but polar attempts, consumed in three passes.
-  template <int kPlanes>
-  void burn_variation_only(std::span<std::int8_t> cells, std::int64_t rows,
-                           std::int64_t cols, std::int64_t row_stride,
-                           const double* safe, common::Rng& rng,
-                           std::uint64_t* buf, FaultMapStats& stats) const;
-
   FaultConfig config_;
   int planes_ = 8;           ///< 8 / cell_bits
   unsigned level_mask_ = 1;  ///< 2^cell_bits − 1

@@ -19,15 +19,6 @@ namespace {
 /// as long as no layer spans more than 2^20 logical crossbars.
 constexpr std::uint64_t kFaultIdStride = std::uint64_t{1} << 20;
 
-/// Smallest layer, in MACs per forward, that run_mappable fans out across a
-/// worker pool (conv position tiles, FC row blocks, per-position rows).
-/// Below it one pool round trip costs more than the split saves. Measured
-/// with a 4-worker pool on a 4-vCPU AVX-512 host (integer datapath, 72x64
-/// crossbars): LeNet-5 (layers up to 240k MACs) ran 0.6x and the CIFAR
-/// residual DAG (2.4M MACs per layer) 0.8x as fast pooled as serial, while
-/// AlexNet (9M-43M MACs per layer) ran 2x faster pooled.
-constexpr std::int64_t kPoolMinMacs = std::int64_t{1} << 22;
-
 /// Read-noise stream key for one MVM call: the per-pass noise stream in the
 /// high bits, the output-position ordinal in the low 20 (no conv in the zoo
 /// comes near 2^20 output positions).
@@ -541,8 +532,7 @@ tensor::Tensor SimulatedModel::run_mappable(
   const float out_scale = layer.weight_scale() * qa.scale;
   const bool scalar = policy_ == KernelPolicy::kScalarReference;
   if (scalar) pool = nullptr;  // the baseline stays honestly serial
-  if (spec.mvm_count() * spec.weight_rows() * spec.weight_cols() <
-      kPoolMinMacs) {
+  if (layer_macs(spec) < kPoolMinMacs) {
     pool = nullptr;  // too small to pay for a pool round trip
   }
   thread_local kernels::KernelScratch scratch;

@@ -46,6 +46,22 @@ enum class KernelPolicy {
   kScalarReference  ///< retained scalar datapaths (oracle / baseline)
 };
 
+/// MACs of one forward through a mappable layer: one weight-matrix MVM per
+/// output position.
+inline std::int64_t layer_macs(const nn::LayerSpec& spec) noexcept {
+  return spec.mvm_count() * spec.weight_rows() * spec.weight_cols();
+}
+
+/// Smallest layer, in layer_macs, that a pooled forward fans out across its
+/// worker pool (conv position tiles, FC row blocks, per-position rows);
+/// smaller layers run the serial pass, since below it one pool round trip
+/// costs more than the split saves. Measured with a 4-worker pool on a
+/// 4-vCPU AVX-512 host (integer datapath, 72x64 crossbars): LeNet-5
+/// (layers up to 240k MACs) ran 0.6x and the CIFAR residual DAG (2.4M MACs
+/// per layer) 0.8x as fast pooled as serial, while AlexNet (9M-43M MACs per
+/// layer) ran 2x faster pooled.
+inline constexpr std::int64_t kPoolMinMacs = std::int64_t{1} << 22;
+
 /// One crossbar's recorded fault burn-in: the variation-only stats of the
 /// recording pass plus the bucketed stuck-draw candidates captured from the
 /// stream (see FaultModel::apply_recording).

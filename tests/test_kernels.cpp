@@ -793,11 +793,24 @@ TEST(MonteCarloIdentity, ReadNoiseThreadInvariance) {
   EXPECT_TRUE(reports_equal(serial, parallel));
 }
 
-TEST(SimulatedModelKernels, PooledForwardMatchesSerial) {
-  // Intra-forward parallelism (FC row blocks + conv position tiles) must be
-  // bit-identical to the serial pass: integer partials reassociate exactly,
-  // and the read-noise streams are keyed by position, not execution order.
-  const nn::NetworkSpec net = nn::lenet5();
+/// A sequential net whose middle conv and first FC clear kPoolMinMacs, so a
+/// pooled forward really splits them (conv position tiles, FC row blocks),
+/// while its first conv and last FC stay under the bound and run serially.
+nn::NetworkSpec pool_split_net() {
+  nn::NetworkSpec net;
+  net.name = "PoolSplit";
+  net.layers.push_back(nn::make_conv(3, 16, 3, 1, 1, 32, 32));
+  net.layers.push_back(nn::make_conv(16, 32, 3, 1, 1, 32, 32));
+  net.layers.push_back(nn::make_maxpool(32, 2, 2, 32, 32));
+  net.layers.push_back(nn::make_fc(32 * 16 * 16, 576));
+  net.layers.push_back(nn::make_fc(576, 10, /*relu=*/false));
+  return net;
+}
+
+/// Intra-forward parallelism (FC row blocks + conv position tiles) must be
+/// bit-identical to the serial pass: integer partials reassociate exactly,
+/// and the read-noise streams are keyed by position, not execution order.
+void expect_pooled_forward_matches_serial(const nn::NetworkSpec& net) {
   common::Rng wr(21);
   const nn::Model model(net, wr);
   const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
@@ -828,6 +841,49 @@ TEST(SimulatedModelKernels, PooledForwardMatchesSerial) {
           << "mode " << static_cast<int>(c.mode) << " i " << i;
     }
   }
+}
+
+TEST(SimulatedModelKernels, PooledForwardMatchesSerial) {
+  expect_pooled_forward_matches_serial(nn::lenet5());
+}
+
+TEST(SimulatedModelKernels, PooledForwardSplitsLargeLayers) {
+  // LeNet-5's layers all sit under kPoolMinMacs, so its pooled forward runs
+  // the serial code; this net keeps the split itself under test.
+  const nn::NetworkSpec net = pool_split_net();
+  bool conv_split = false, fc_split = false, serial_layer = false;
+  for (const nn::LayerSpec& spec : net.mappable_layers()) {
+    const bool split = reram::layer_macs(spec) >= reram::kPoolMinMacs;
+    conv_split |= split && spec.type == nn::LayerType::kConv;
+    fc_split |= split && spec.type == nn::LayerType::kFullyConnected;
+    serial_layer |= !split;
+  }
+  ASSERT_TRUE(conv_split && fc_split && serial_layer)
+      << "pool_split_net no longer straddles kPoolMinMacs";
+  expect_pooled_forward_matches_serial(net);
+}
+
+TEST(MonteCarloIdentity, SplitLayerThreadInvariance) {
+  // One trial of one sample on the pool-split net: the only parallelism is
+  // the intra-forward split of its large layers, under stuck faults.
+  const nn::NetworkSpec net = pool_split_net();
+  common::Rng wr(21);
+  const nn::Model model(net, wr);
+  const std::vector<CrossbarShape> shapes(net.mappable_layers().size(),
+                                          {72, 64});
+  FaultConfig fc;
+  fc.stuck_at_zero_rate = 1e-3;
+  fc.stuck_at_one_rate = 1e-3;
+  fc.program_sigma = 0.01;
+  fc.read_sigma = 0.02;
+  RobustnessOptions mc;
+  mc.trials = 1;
+  mc.samples = 1;
+  mc.threads = 1;
+  const auto serial = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  mc.threads = 4;
+  const auto parallel = reram::monte_carlo_robustness(model, shapes, fc, mc);
+  EXPECT_TRUE(reports_equal(serial, parallel));
 }
 
 TEST(SimulatedModelKernels, BatchedTracedForwardMatchesPerSample) {
